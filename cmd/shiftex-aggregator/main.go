@@ -181,6 +181,9 @@ func run(args []string) error {
 		tr.SetTracer(tracer)
 		transport = tr
 	}
+	// Pooled party connections outlive calls; hang up before the in-process
+	// parties (if any) are torn down.
+	defer transport.Close()
 
 	spec := service.ScenarioSpec(nparties, *samples, *testN, windows)
 	cfg := shiftex.DefaultConfig()

@@ -105,7 +105,7 @@ func run(args []string) error {
 	<-sig
 	fmt.Println("shutting down")
 	err = srv.Close()
-	logger.Info("drained", "requests", srv.Requests(), "spans", tracer.SpanCount())
+	logger.Info("drained", "requests", srv.Requests(), "connections", srv.Connections(), "spans", tracer.SpanCount())
 	return err
 }
 

@@ -43,11 +43,16 @@ type TrainConfig struct {
 	Seed uint64 `json:"seed"`
 }
 
+// maxLocalEpochs bounds the work one assignment can ask of a party. Configs
+// arrive over the wire, and a connection deadline does not stop a training
+// loop; far above any recipe in the paper (1-5 local epochs).
+const maxLocalEpochs = 1 << 12
+
 // Validate reports whether the config is usable.
 func (c TrainConfig) Validate() error {
 	switch {
-	case c.Epochs <= 0:
-		return fmt.Errorf("fl: epochs must be positive, got %d", c.Epochs)
+	case c.Epochs <= 0 || c.Epochs > maxLocalEpochs:
+		return fmt.Errorf("fl: epochs must be in [1,%d], got %d", maxLocalEpochs, c.Epochs)
 	case c.LR <= 0:
 		return fmt.Errorf("fl: lr must be positive, got %g", c.LR)
 	case c.Momentum < 0 || c.Momentum >= 1:
@@ -78,7 +83,9 @@ func DeriveRNG(seed uint64, partyID int) *tensor.RNG {
 }
 
 // LocalTrain trains a fresh model initialized at the global parameters on
-// the party's data and returns the resulting update.
+// the party's data and returns the resulting update. It allocates everything
+// it uses; it is the reference the cached party executor is parity-tested
+// against.
 func LocalTrain(p *Party, arch []int, global tensor.Vector, cfg TrainConfig, rng *tensor.RNG) (Update, error) {
 	return LocalTrainWS(p, arch, global, cfg, rng, nil)
 }
@@ -90,30 +97,48 @@ func LocalTrain(p *Party, arch []int, global tensor.Vector, cfg TrainConfig, rng
 // the He-init draws are part of the party's deterministic RNG stream, so
 // they must happen whether or not the values are immediately overwritten.
 func LocalTrainWS(p *Party, arch []int, global tensor.Vector, cfg TrainConfig, rng *tensor.RNG, ws *nn.Workspace) (Update, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := checkAssignment(p, cfg); err != nil {
 		return Update{}, err
-	}
-	if len(p.Train) == 0 {
-		return Update{}, fmt.Errorf("fl: party %d has no training data", p.ID)
 	}
 	model, err := nn.NewMLP(arch, rng)
 	if err != nil {
 		return Update{}, fmt.Errorf("party %d: %w", p.ID, err)
 	}
-	if err := model.SetParams(global); err != nil {
-		return Update{}, fmt.Errorf("party %d: %w", p.ID, err)
-	}
 	if ws == nil || !ws.Fits(model) {
 		ws = nn.NewWorkspace(model)
 	}
-	opt := nn.NewSGD(cfg.LR)
+	return trainFrom(p, model, ws, nn.NewSGD(cfg.LR), global, cfg, rng)
+}
+
+// checkAssignment rejects an assignment the party cannot run.
+func checkAssignment(p *Party, cfg TrainConfig) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	if len(p.Train) == 0 {
+		return fmt.Errorf("fl: party %d has no training data", p.ID)
+	}
+	return nil
+}
+
+// trainFrom loads global into a model whose init draws have already been
+// taken from rng and trains it on the party's data: the part of an
+// assignment shared by the allocating path and the cached executor. opt must
+// carry no state from an earlier training; global is only read.
+func trainFrom(p *Party, model *nn.MLP, ws *nn.Workspace, opt *nn.SGD, global tensor.Vector, cfg TrainConfig, rng *tensor.RNG) (Update, error) {
+	if err := model.SetParams(global); err != nil {
+		return Update{}, fmt.Errorf("party %d: %w", p.ID, err)
+	}
+	opt.LR = cfg.LR
 	opt.Momentum = cfg.Momentum
 	opt.WeightDecay = cfg.WeightDecay
+	opt.ProxMu, opt.ProxRef = 0, nil
 	if cfg.ProxMu > 0 {
 		opt.ProxMu = cfg.ProxMu
-		opt.ProxRef = global.Clone()
+		opt.ProxRef = global
 	}
 	loss, err := nn.TrainEpochsWS(ws, model, dataset.Inputs(p.Train), dataset.Labels(p.Train), opt, cfg.Epochs, cfg.BatchSize, rng)
+	opt.ProxRef = nil // do not retain the caller's vector past the call
 	if err != nil {
 		return Update{}, fmt.Errorf("party %d: %w", p.ID, err)
 	}
@@ -346,14 +371,4 @@ func (e *Evaluator) Model(params tensor.Vector) (*nn.MLP, error) {
 		return nil, err
 	}
 	return e.model, nil
-}
-
-// Evaluate measures the accuracy of the given parameters on a test set.
-// Loops should hold an Evaluator instead.
-func Evaluate(arch []int, params tensor.Vector, test []dataset.Example) (float64, error) {
-	e, err := NewEvaluator(arch)
-	if err != nil {
-		return 0, err
-	}
-	return e.Accuracy(params, test)
 }

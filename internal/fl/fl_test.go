@@ -14,7 +14,7 @@ func testSpec() dataset.Spec {
 	return s
 }
 
-func buildParties(t *testing.T, spec dataset.Spec, seed uint64) []*Party {
+func buildParties(t testing.TB, spec dataset.Spec, seed uint64) []*Party {
 	t.Helper()
 	sc, err := dataset.BuildScenario(spec, dataset.DefaultShiftConfig(), seed)
 	if err != nil {
@@ -35,7 +35,7 @@ func arch(spec dataset.Spec) []int {
 	return []int{spec.InputDim, 24, 12, spec.NumClasses}
 }
 
-func initParams(t *testing.T, a []int) tensor.Vector {
+func initParams(t testing.TB, a []int) tensor.Vector {
 	t.Helper()
 	m, err := nn.NewMLP(a, tensor.NewRNG(7))
 	if err != nil {
@@ -79,7 +79,7 @@ func TestLocalTrainImproves(t *testing.T) {
 	global := initParams(t, a)
 	p := parties[0]
 
-	before, err := Evaluate(a, global, p.Train)
+	before, err := evalAcc(t, a, global, p.Train)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestLocalTrainImproves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	after, err := Evaluate(a, u.Params, p.Train)
+	after, err := evalAcc(t, a, u.Params, p.Train)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestEngineRoundConverges(t *testing.T) {
 	for _, p := range parties {
 		test = append(test, p.Test...)
 	}
-	before, err := Evaluate(a, global, test)
+	before, err := evalAcc(t, a, global, test)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestEngineRoundConverges(t *testing.T) {
 		}
 		global = next
 	}
-	after, err := Evaluate(a, global, test)
+	after, err := evalAcc(t, a, global, test)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,13 +271,23 @@ func TestLocalRunnerSetPartyData(t *testing.T) {
 	}
 }
 
+// evalAcc measures params on a test set through a one-shot Evaluator.
+func evalAcc(t *testing.T, a []int, params tensor.Vector, test []dataset.Example) (float64, error) {
+	t.Helper()
+	e, err := NewEvaluator(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e.Accuracy(params, test)
+}
+
 func TestEvaluateErrors(t *testing.T) {
 	spec := testSpec()
 	a := arch(spec)
-	if _, err := Evaluate(a, initParams(t, a), nil); err == nil {
+	if _, err := evalAcc(t, a, initParams(t, a), nil); err == nil {
 		t.Fatal("empty test set should error")
 	}
-	if _, err := Evaluate(a, tensor.Vector{1}, []dataset.Example{{X: tensor.NewVector(spec.InputDim)}}); err == nil {
+	if _, err := evalAcc(t, a, tensor.Vector{1}, []dataset.Example{{X: tensor.NewVector(spec.InputDim)}}); err == nil {
 		t.Fatal("wrong params should error")
 	}
 }

@@ -1,7 +1,6 @@
 package fl
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"net"
@@ -9,18 +8,11 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/dataset"
 	"repro/internal/detect"
-	"repro/internal/nn"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
 	"repro/internal/tensor"
 )
-
-// Wire protocol: a single gob-encoded request/response pair per connection.
-// Each party runs a PartyServer; the aggregator dials it per assignment.
-// The protocol carries model parameters and aggregate statistics only —
-// raw examples never cross the wire, preserving the FL privacy contract.
 
 // reqKind discriminates request types on the wire.
 type reqKind int
@@ -50,7 +42,12 @@ func (k reqKind) String() string {
 	}
 }
 
-// request is the wire envelope sent by the aggregator.
+// carriesParams reports whether requests of this kind are followed by a
+// parameter vector sized by their Arch.
+func (k reqKind) carriesParams() bool { return k == reqTrain || k == reqStats || k == reqEval }
+
+// request is the wire envelope sent by the aggregator. Global travels as the
+// frame's raw vector block, never inside the gob envelope.
 type request struct {
 	Kind   reqKind
 	Arch   []int
@@ -72,7 +69,8 @@ type request struct {
 	Traceparent string
 }
 
-// response is the wire envelope returned by a party.
+// response is the wire envelope returned by a party. Update.Params travels as
+// the frame's raw vector block.
 type response struct {
 	Update Update
 	Stats  detect.PartyStats
@@ -81,33 +79,50 @@ type response struct {
 	Err    string
 }
 
-// WindowProvider supplies a streaming party's per-window data. A party
-// server with a provider answers window-advance requests by swapping its
-// train/test splits; its detector state rolls forward across windows just
-// like the in-process federation's.
-type WindowProvider interface {
-	NumWindows() int
-	PartyWindow(w int) (train, test []dataset.Example, err error)
-}
+// Connection lifecycle constants. None is configurable: they bound resources,
+// they do not tune behavior.
+const (
+	// serverCallTimeout bounds one exchange on the party side, from the
+	// first byte of the request to the last byte of the response.
+	serverCallTimeout = 2 * time.Minute
+	// serverIdleTimeout is how long a party keeps a connection with no
+	// request in flight; clientIdleLimit, well below it, is when the
+	// aggregator stops reusing one — so a pooled connection the aggregator
+	// picks has not been reaped by the party.
+	serverIdleTimeout = 5 * time.Minute
+	clientIdleLimit   = 90 * time.Second
+	// handshakeTimeout bounds the preamble exchange on an accepted
+	// connection.
+	handshakeTimeout = 10 * time.Second
+	// maxIdlePerParty bounds pooled connections per party. The fleet fans
+	// out across parties, so one party sees one call at a time; the spare
+	// absorbs a call abandoned by a caller-side timeout.
+	maxIdlePerParty = 2
+)
 
 // PartyServer serves one party's training and shift-statistics endpoints
-// over TCP. It owns a background accept loop; stop it with Close.
+// over TCP. It owns a background accept loop and one goroutine per live
+// connection; stop them with Close.
 type PartyServer struct {
-	detector   *detect.Detector
-	numClasses int
+	exec *PartyExecutor
 
-	ln   net.Listener
-	wg   sync.WaitGroup
-	stop chan struct{}
+	ln net.Listener
+	wg sync.WaitGroup
 
 	tracer   atomic.Pointer[telemetry.Tracer]
 	requests atomic.Int64
+	accepted atomic.Int64
 
-	mu      sync.Mutex
-	party   *Party
-	windows WindowProvider
-	rng     *tensor.RNG
+	mu     sync.Mutex
+	closed bool
+	conns  map[net.Conn]bool // live connections; true while an exchange is in flight
 }
+
+// recvBuf is a pooled receive buffer for a request's parameter vector. It
+// belongs to no connection, so idle connections pin nothing model-sized.
+type recvBuf struct{ v tensor.Vector }
+
+var recvPool = sync.Pool{New: func() any { return new(recvBuf) }}
 
 // SetTracer attaches a tracer; each wire request then records a
 // party.<kind> span, continuing the aggregator's trace when the request
@@ -117,13 +132,14 @@ func (s *PartyServer) SetTracer(t *telemetry.Tracer) { s.tracer.Store(t) }
 // Requests reports how many wire requests the server has handled.
 func (s *PartyServer) Requests() int64 { return s.requests.Load() }
 
+// Connections reports how many connections the server has accepted; with a
+// pooling aggregator it stays far below Requests.
+func (s *PartyServer) Connections() int64 { return s.accepted.Load() }
+
 // NewPartyServer starts serving the party on addr (e.g. "127.0.0.1:0").
 // The returned server is already accepting connections.
 func NewPartyServer(addr string, party *Party, numClasses int, rng *tensor.RNG) (*PartyServer, error) {
-	if party == nil {
-		return nil, errors.New("fl: nil party")
-	}
-	det, err := detect.NewDetector(party.ID, numClasses, 64)
+	exec, err := NewPartyExecutor(party, numClasses, rng)
 	if err != nil {
 		return nil, err
 	}
@@ -131,14 +147,7 @@ func NewPartyServer(addr string, party *Party, numClasses int, rng *tensor.RNG) 
 	if err != nil {
 		return nil, fmt.Errorf("fl: listen %s: %w", addr, err)
 	}
-	s := &PartyServer{
-		party:      party,
-		detector:   det,
-		numClasses: numClasses,
-		ln:         ln,
-		stop:       make(chan struct{}),
-		rng:        rng,
-	}
+	s := &PartyServer{exec: exec, ln: ln, conns: make(map[net.Conn]bool)}
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s, nil
@@ -146,27 +155,29 @@ func NewPartyServer(addr string, party *Party, numClasses int, rng *tensor.RNG) 
 
 // SetWindowProvider attaches a stream of per-window data; the server then
 // honors window-advance requests from the aggregator.
-func (s *PartyServer) SetWindowProvider(p WindowProvider) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.windows = p
-}
+func (s *PartyServer) SetWindowProvider(p WindowProvider) { s.exec.SetWindowProvider(p) }
 
 // Addr returns the server's bound address.
 func (s *PartyServer) Addr() string { return s.ln.Addr().String() }
 
-// snapshot returns a consistent copy of the party under the lock so
-// handlers can run unlocked while an advance swaps the window data.
-func (s *PartyServer) snapshot() *Party {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return &Party{ID: s.party.ID, Train: s.party.Train, Test: s.party.Test}
-}
-
-// Close stops the accept loop and waits for in-flight handlers.
+// Close stops the accept loop, closes every idle connection — its handler is
+// parked in a read that would otherwise hold until serverIdleTimeout — and
+// waits for the exchanges in flight to be answered. Closing again is a
+// no-op.
 func (s *PartyServer) Close() error {
-	close(s.stop)
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		return nil
+	}
+	s.closed = true
 	err := s.ln.Close()
+	for c, busy := range s.conns {
+		if !busy {
+			_ = c.Close() // unblocks the handler, whose own Close reports nothing new
+		}
+	}
+	s.mu.Unlock()
 	s.wg.Wait()
 	return err
 }
@@ -176,14 +187,15 @@ func (s *PartyServer) acceptLoop() {
 	for {
 		conn, err := s.ln.Accept()
 		if err != nil {
-			select {
-			case <-s.stop:
+			s.mu.Lock()
+			closed := s.closed
+			s.mu.Unlock()
+			if closed {
 				return
-			default:
-				// Transient accept error; keep serving.
-				continue
 			}
+			continue // transient accept error; keep serving
 		}
+		s.accepted.Add(1)
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
@@ -192,141 +204,144 @@ func (s *PartyServer) acceptLoop() {
 	}
 }
 
+// mark records whether the connection has an exchange in flight, so Close
+// knows which handlers it may cut and which it must let answer; false means
+// the server is closing and the handler should stop.
+func (s *PartyServer) mark(conn net.Conn, busy bool) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return false
+	}
+	s.conns[conn] = busy
+	return true
+}
+
+// handle serves one connection: the preamble, then exchanges until the peer
+// hangs up, the idle limit passes, or anything goes wrong — after any error
+// the stream position is unknown, so the connection is never reused.
 func (s *PartyServer) handle(conn net.Conn) {
 	defer conn.Close()
-	_ = conn.SetDeadline(time.Now().Add(2 * time.Minute))
-	dec := gob.NewDecoder(conn)
-	enc := gob.NewEncoder(conn)
-	var req request
-	if err := dec.Decode(&req); err != nil {
+	defer func() {
+		s.mu.Lock()
+		delete(s.conns, conn)
+		s.mu.Unlock()
+	}()
+	if !s.mark(conn, false) {
 		return
 	}
+	w := newWire(conn)
+	_ = conn.SetDeadline(time.Now().Add(handshakeTimeout))
+	if err := w.serverHandshake(); err != nil {
+		return
+	}
+	for s.mark(conn, false) {
+		_ = conn.SetDeadline(time.Now().Add(serverIdleTimeout))
+		if _, err := w.br.Peek(1); err != nil || !s.mark(conn, true) {
+			return
+		}
+		_ = conn.SetDeadline(time.Now().Add(serverCallTimeout))
+		if !s.exchange(w) {
+			return
+		}
+	}
+}
+
+// exchange reads one request, executes it and writes the response; false
+// means the connection must be dropped.
+func (s *PartyServer) exchange(w *wire) bool {
+	var req request
+	n, err := w.recv(&req)
+	if err != nil {
+		return false
+	}
 	s.requests.Add(1)
+	// The vector's length is settled before a byte of it is read: exactly
+	// the arch's parameter count, or nothing for kinds that carry none.
+	want := 0
+	if req.Kind.carriesParams() {
+		want, err = checkedParamCount(req.Arch)
+	}
+	if err == nil && n != want {
+		err = fmt.Errorf("fl: %s request carries %d parameters, want %d", req.Kind, n, want)
+	}
+	if err != nil {
+		_ = w.send(&response{Err: err.Error()}, nil) // the unread vector leaves the stream unusable
+		return false
+	}
+	if n > 0 {
+		buf := recvPool.Get().(*recvBuf)
+		defer recvPool.Put(buf)
+		if buf.v, err = w.recvVector(buf.v, n); err != nil {
+			return false
+		}
+		req.Global = buf.v
+	}
+	resp := s.execute(&req)
+	params := resp.Update.Params
+	resp.Update.Params = nil
+	return w.send(&resp, params) == nil
+}
+
+// execute runs one decoded request on the party executor under a
+// party.<kind> span.
+func (s *PartyServer) execute(req *request) (resp response) {
 	var span *telemetry.Span
 	if tr := s.tracer.Load(); tr != nil {
 		// A malformed traceparent is replaced with a fresh root, never
 		// propagated (same policy as the HTTP tiers).
 		parent, _ := telemetry.ParseTraceparent(req.Traceparent)
 		span = tr.StartSpan("party."+req.Kind.String(), parent)
-		s.mu.Lock()
-		span.SetAttrInt("party", int64(s.party.ID))
-		s.mu.Unlock()
+		span.SetAttrInt("party", int64(s.exec.ID()))
 	}
-	var resp response
+	var err error
 	switch req.Kind {
 	case reqTrain:
-		u, err := s.train(req)
-		if err != nil {
-			resp.Err = err.Error()
-		} else {
-			resp.Update = u
-		}
+		resp.Update, err = s.exec.Train(req.Arch, req.Global, req.Cfg)
 	case reqStats:
-		st, err := s.computeStats(req)
-		if err != nil {
-			resp.Err = err.Error()
-		} else {
-			resp.Stats = st
-		}
+		resp.Stats, err = s.exec.Stats(req.Arch, req.Global, req.Seed)
 	case reqEval:
-		acc, err := s.eval(req)
-		if err != nil {
-			resp.Err = err.Error()
-		} else {
-			resp.Acc = acc
-		}
+		resp.Acc, err = s.exec.Eval(req.Arch, req.Global)
 	case reqHist:
-		h, err := s.hist(req)
-		if err != nil {
-			resp.Err = err.Error()
+		if req.NumClasses > maxEnvelope/8 {
+			err = fmt.Errorf("fl: a %d-class histogram does not fit a response envelope", req.NumClasses)
 		} else {
-			resp.Hist = h
+			resp.Hist = s.exec.Hist(req.NumClasses)
 		}
 	case reqAdvance:
-		if err := s.advance(req.Window); err != nil {
-			resp.Err = err.Error()
-		}
+		err = s.exec.Advance(req.Window)
 	default:
-		resp.Err = fmt.Sprintf("fl: unknown request kind %d", req.Kind)
+		err = fmt.Errorf("fl: unknown request kind %d", req.Kind)
+	}
+	if err != nil {
+		resp = response{Err: err.Error()}
 	}
 	if span != nil {
-		if resp.Err != "" {
-			span.SetError(errors.New(resp.Err))
-		}
-		span.End()
+		span.EndErr(err)
 	}
-	_ = enc.Encode(&resp)
+	return resp
 }
 
-func (s *PartyServer) train(req request) (Update, error) {
-	p := s.snapshot()
-	// The same (seed, partyID) derivation the in-process runner uses, so
-	// updates are bit-identical across transports.
-	return LocalTrain(p, req.Arch, req.Global, req.Cfg, DeriveRNG(req.Cfg.Seed, p.ID))
+// clientConn is one pooled aggregator-side connection.
+type clientConn struct {
+	*wire
+	addr      string
+	idleSince time.Time
 }
 
-func (s *PartyServer) computeStats(req request) (detect.PartyStats, error) {
-	model, err := nn.NewMLP(req.Arch, tensor.NewRNG(0))
-	if err != nil {
-		return detect.PartyStats{}, err
-	}
-	if err := model.SetParams(req.Global); err != nil {
-		return detect.PartyStats{}, err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	rng := s.rng
-	if req.Seed != 0 {
-		rng = DeriveRNG(req.Seed, s.party.ID)
-	}
-	return s.detector.Observe(model, s.party.Train, rng)
-}
-
-func (s *PartyServer) eval(req request) (float64, error) {
-	return Evaluate(req.Arch, req.Global, s.snapshot().Test)
-}
-
-func (s *PartyServer) hist(req request) (stats.Histogram, error) {
-	n := req.NumClasses
-	if n <= 0 {
-		n = s.numClasses
-	}
-	return dataset.LabelHistogram(s.snapshot().Train, n), nil
-}
-
-func (s *PartyServer) advance(w int) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.windows == nil {
-		// A single-window (legacy) party already serves window 0, so
-		// advancing to it is a no-op — this keeps legacy parties drivable
-		// by the service aggregator, which always advances at window
-		// start.
-		if w == 0 {
-			return nil
-		}
-		return fmt.Errorf("fl: party %d has no window stream", s.party.ID)
-	}
-	if w < 0 || w >= s.windows.NumWindows() {
-		return fmt.Errorf("fl: party %d window %d out of range [0,%d)", s.party.ID, w, s.windows.NumWindows())
-	}
-	train, test, err := s.windows.PartyWindow(w)
-	if err != nil {
-		return fmt.Errorf("fl: party %d window %d: %w", s.party.ID, w, err)
-	}
-	s.party.Train = train
-	s.party.Test = test
-	return nil
-}
-
-// TCPTrainer is a Trainer that reaches parties over TCP.
+// TCPTrainer is a Trainer that reaches parties over TCP, keeping a small
+// pool of persistent connections per party. It starts no goroutines: a
+// trainer that is dropped without Close is collected with its connections.
 type TCPTrainer struct {
-	mu    sync.Mutex
-	addrs map[int]string
-	// DialTimeout bounds connection establishment; 0 means 5s.
+	mu     sync.Mutex
+	addrs  map[int]string
+	idle   map[int][]*clientConn
+	closed bool
+	// DialTimeout bounds connection establishment, handshake included; 0
+	// means 5s.
 	DialTimeout time.Duration
 	// CallTimeout bounds one full request/response exchange (the
-	// connection deadline); 0 means 2m.
+	// connection deadline, re-armed per call); 0 means 2m.
 	CallTimeout time.Duration
 
 	tracer atomic.Pointer[telemetry.Tracer]
@@ -346,24 +361,104 @@ func NewTCPTrainer(addrs map[int]string) *TCPTrainer {
 	for k, v := range addrs {
 		m[k] = v
 	}
-	return &TCPTrainer{addrs: m}
+	return &TCPTrainer{addrs: m, idle: make(map[int][]*clientConn)}
 }
 
-// Register adds or replaces a party address.
+// Register adds or replaces a party address. Connections pooled for a
+// previous address are closed.
 func (t *TCPTrainer) Register(partyID int, addr string) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	if t.addrs[partyID] != addr {
+		t.dropLocked(partyID)
+	}
 	t.addrs[partyID] = addr
 }
 
-func (t *TCPTrainer) addr(partyID int) (string, error) {
+// Close closes every pooled connection. Calls still in flight finish and
+// close theirs; later calls dial per call.
+func (t *TCPTrainer) Close() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	a, ok := t.addrs[partyID]
-	if !ok {
-		return "", fmt.Errorf("fl: no address registered for party %d", partyID)
+	t.closed = true
+	for id := range t.idle {
+		t.dropLocked(id)
 	}
-	return a, nil
+	return nil
+}
+
+func (t *TCPTrainer) dropLocked(partyID int) {
+	for _, c := range t.idle[partyID] {
+		_ = c.conn.Close() // idle: nothing in flight to lose
+	}
+	delete(t.idle, partyID)
+}
+
+// Ping dials the party, completes the version handshake and keeps the
+// connection as a pooled one, so the first real call does not dial again.
+func (t *TCPTrainer) Ping(partyID int, timeout time.Duration) error {
+	c, err := t.dial(partyID, timeout)
+	if err != nil {
+		return err
+	}
+	t.put(partyID, c)
+	return nil
+}
+
+// get returns a connection to the party: the most recently used pooled one
+// that is still within clientIdleLimit, else a fresh one.
+func (t *TCPTrainer) get(partyID int) (c *clientConn, reused bool, err error) {
+	t.mu.Lock()
+	for len(t.idle[partyID]) > 0 {
+		pool := t.idle[partyID]
+		c = pool[len(pool)-1]
+		t.idle[partyID] = pool[:len(pool)-1]
+		if time.Since(c.idleSince) < clientIdleLimit {
+			t.mu.Unlock()
+			return c, true, nil
+		}
+		_ = c.conn.Close() // idle too long: the party may have reaped it
+	}
+	t.mu.Unlock()
+	c, err = t.dial(partyID, t.DialTimeout)
+	return c, false, err
+}
+
+// put pools a healthy connection, or closes it when the pool is full, the
+// trainer is closed, or the party has since moved.
+func (t *TCPTrainer) put(partyID int, c *clientConn) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.closed || t.addrs[partyID] != c.addr || len(t.idle[partyID]) >= maxIdlePerParty {
+		_ = c.conn.Close()
+		return
+	}
+	c.idleSince = time.Now()
+	t.idle[partyID] = append(t.idle[partyID], c)
+}
+
+func (t *TCPTrainer) dial(partyID int, timeout time.Duration) (*clientConn, error) {
+	t.mu.Lock()
+	addr, ok := t.addrs[partyID]
+	t.mu.Unlock()
+	if !ok {
+		return nil, fmt.Errorf("fl: no address registered for party %d", partyID)
+	}
+	if timeout <= 0 {
+		timeout = 5 * time.Second
+	}
+	deadline := time.Now().Add(timeout)
+	conn, err := net.DialTimeout("tcp", addr, timeout)
+	if err != nil {
+		return nil, fmt.Errorf("fl: dial party %d at %s: %w", partyID, addr, err)
+	}
+	c := &clientConn{wire: newWire(conn), addr: addr}
+	_ = conn.SetDeadline(deadline)
+	if err := c.clientHandshake(); err != nil {
+		_ = conn.Close()
+		return nil, fmt.Errorf("fl: handshake with party %d at %s: %w", partyID, addr, err)
+	}
+	return c, nil
 }
 
 func (t *TCPTrainer) roundTrip(partyID int, req request) (response, error) {
@@ -378,34 +473,75 @@ func (t *TCPTrainer) roundTrip(partyID int, req request) (response, error) {
 	return t.doRoundTrip(partyID, req)
 }
 
+// doRoundTrip runs one exchange. When a pooled connection turns out to be
+// broken (the party restarted, or reaped it) the request is resent once on a
+// fresh connection — but only for the kinds that are pure functions of the
+// request and the party's data. A stats request is never resent: the party
+// may have executed it before the connection broke, and a second Observe
+// would compare the window against itself. Timeouts are not resent either:
+// the party is slow, not gone, and is still working on the first copy.
 func (t *TCPTrainer) doRoundTrip(partyID int, req request) (response, error) {
-	addr, err := t.addr(partyID)
+	c, reused, err := t.get(partyID)
 	if err != nil {
 		return response{}, err
 	}
-	timeout := t.DialTimeout
-	if timeout <= 0 {
-		timeout = 5 * time.Second
+	resp, err := t.exchange(partyID, c, &req)
+	var netErr net.Error
+	if err != nil && reused && !(errors.As(err, &netErr) && netErr.Timeout()) {
+		if req.Kind == reqStats {
+			return response{}, fmt.Errorf("%w (not resent: the party may already have observed this window)", err)
+		}
+		if c, err = t.dial(partyID, t.DialTimeout); err != nil {
+			return response{}, err
+		}
+		resp, err = t.exchange(partyID, c, &req)
 	}
-	conn, err := net.DialTimeout("tcp", addr, timeout)
 	if err != nil {
-		return response{}, fmt.Errorf("fl: dial party %d at %s: %w", partyID, addr, err)
+		return response{}, err
 	}
-	defer conn.Close()
+	if resp.Err != "" {
+		return response{}, fmt.Errorf("fl: party %d: %s", partyID, resp.Err)
+	}
+	return resp, nil
+}
+
+// exchange sends req on c and reads the response, returning c to the pool on
+// success and closing it on any error.
+func (t *TCPTrainer) exchange(partyID int, c *clientConn, req *request) (resp response, err error) {
+	defer func() {
+		if err != nil {
+			_ = c.conn.Close()
+			return
+		}
+		t.put(partyID, c)
+	}()
 	callTimeout := t.CallTimeout
 	if callTimeout <= 0 {
 		callTimeout = 2 * time.Minute
 	}
-	_ = conn.SetDeadline(time.Now().Add(callTimeout))
-	if err := gob.NewEncoder(conn).Encode(&req); err != nil {
+	_ = c.conn.SetDeadline(time.Now().Add(callTimeout))
+	env := *req
+	env.Global = nil
+	if err := c.send(&env, req.Global); err != nil {
 		return response{}, fmt.Errorf("fl: encode to party %d: %w", partyID, err)
 	}
-	var resp response
-	if err := gob.NewDecoder(conn).Decode(&resp); err != nil {
+	n, err := c.recv(&resp)
+	if err != nil {
 		return response{}, fmt.Errorf("fl: decode from party %d: %w", partyID, err)
 	}
-	if resp.Err != "" {
-		return response{}, fmt.Errorf("fl: party %d: %s", partyID, resp.Err)
+	// A train response returns exactly as many parameters as were sent;
+	// every other response, and every error, returns none.
+	want := 0
+	if req.Kind == reqTrain && resp.Err == "" {
+		want = len(req.Global)
+	}
+	if n != want {
+		return response{}, fmt.Errorf("fl: decode from party %d: %s response carries %d parameters, want %d", partyID, req.Kind, n, want)
+	}
+	if n > 0 {
+		if resp.Update.Params, err = c.recvVector(make(tensor.Vector, 0, n), n); err != nil {
+			return response{}, fmt.Errorf("fl: decode from party %d: %w", partyID, err)
+		}
 	}
 	return resp, nil
 }

@@ -1,8 +1,8 @@
 package fl
 
 import (
-	"encoding/gob"
 	"errors"
+	"io"
 	"net"
 	"reflect"
 	"strings"
@@ -12,6 +12,20 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/tensor"
 )
+
+// framedServer is rawServer for faults past the handshake: it completes the
+// wire preamble, then hands the framed connection to the handler.
+func framedServer(t *testing.T, handler func(w *wire)) string {
+	t.Helper()
+	return rawServer(t, func(conn net.Conn) {
+		defer conn.Close()
+		w := newWire(conn)
+		if err := w.serverHandshake(); err != nil {
+			return
+		}
+		handler(w)
+	})
+}
 
 // rawServer starts a TCP listener driven by a raw connection handler — used
 // to fault-inject protocol violations a well-behaved PartyServer never
@@ -51,10 +65,9 @@ func TestTCPPartyKilledMidRound(t *testing.T) {
 
 	// Party 1 "dies" mid-round: reads the request, then the process is
 	// gone — the connection closes with no response bytes.
-	killed := rawServer(t, func(conn net.Conn) {
+	killed := framedServer(t, func(w *wire) {
 		var req request
-		_ = gob.NewDecoder(conn).Decode(&req)
-		conn.Close()
+		_, _ = w.recv(&req)
 	})
 
 	trainer := NewTCPTrainer(map[int]string{0: srv.Addr(), 1: killed})
@@ -101,31 +114,44 @@ func TestTCPConnectionRefused(t *testing.T) {
 }
 
 // TestTCPMalformedResponse covers a party answering with bytes that are not
-// a gob response, and one whose valid gob stream is truncated.
+// a frame, a frame whose envelope is not gob, a valid frame that is
+// truncated, and a response announcing a vector the exchange does not call
+// for.
 func TestTCPMalformedResponse(t *testing.T) {
-	garbage := rawServer(t, func(conn net.Conn) {
+	// readRequest consumes one whole request so the reply is the only fault.
+	readRequest := func(w *wire) {
 		var req request
-		_ = gob.NewDecoder(conn).Decode(&req)
-		_, _ = conn.Write([]byte("HTTP/1.1 200 OK\r\n\r\nnot gob"))
-		conn.Close()
+		if n, err := w.recv(&req); err == nil {
+			_, _ = w.recvVector(nil, n)
+		}
+	}
+	garbage := framedServer(t, func(w *wire) {
+		readRequest(w)
+		_, _ = w.conn.Write([]byte("HTTP/1.1 200 OK\r\n\r\nnot a frame"))
 	})
-	short := rawServer(t, func(conn net.Conn) {
-		var req request
-		_ = gob.NewDecoder(conn).Decode(&req)
-		// Encode a full response, then send only the first few bytes.
+	notGob := framedServer(t, func(w *wire) {
+		readRequest(w)
+		_, _ = w.conn.Write([]byte{5, 0, 0, 0, 0, 0, 0, 0, 'h', 'e', 'l', 'l', 'o'})
+	})
+	short := framedServer(t, func(w *wire) {
+		readRequest(w)
+		// Frame a full response, then send only its first few bytes.
 		pr, pw := net.Pipe()
 		go func() {
-			_ = gob.NewEncoder(pw).Encode(&response{Acc: 0.5})
+			_ = newWire(pw).send(&response{Acc: 0.5}, nil)
 			pw.Close()
 		}()
-		buf := make([]byte, 5)
-		n, _ := pr.Read(buf)
+		buf := make([]byte, 12)
+		n, _ := io.ReadFull(pr, buf)
 		pr.Close()
-		_, _ = conn.Write(buf[:n])
-		conn.Close()
+		_, _ = w.conn.Write(buf[:n])
+	})
+	unasked := framedServer(t, func(w *wire) {
+		readRequest(w)
+		_ = w.send(&response{Acc: 0.5}, []float64{1, 2, 3})
 	})
 
-	for name, addr := range map[string]string{"garbage": garbage, "short": short} {
+	for name, addr := range map[string]string{"garbage": garbage, "notGob": notGob, "short": short, "unasked": unasked} {
 		t.Run(name, func(t *testing.T) {
 			trainer := NewTCPTrainer(map[int]string{0: addr})
 			_, err := trainer.EvalParty(0, []int{2, 3, 2}, tensor.Vector{1, 2, 3})
@@ -141,9 +167,8 @@ func TestTCPMalformedResponse(t *testing.T) {
 func TestTCPRequestTimeout(t *testing.T) {
 	stall := make(chan struct{})
 	t.Cleanup(func() { close(stall) })
-	addr := rawServer(t, func(conn net.Conn) {
+	addr := framedServer(t, func(*wire) {
 		<-stall // hold the connection open, never respond
-		conn.Close()
 	})
 
 	trainer := NewTCPTrainer(map[int]string{0: addr})

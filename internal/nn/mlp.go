@@ -29,11 +29,17 @@ type Dense struct {
 // newDense builds a dense layer with He-initialized weights.
 func newDense(in, out int, rng *tensor.RNG) *Dense {
 	d := &Dense{W: tensor.NewMatrix(out, in), B: tensor.NewVector(out)}
-	scale := 1.41421356 / sqrtf(float64(in)) // He init: sqrt(2/in)
+	d.heInit(rng)
+	return d
+}
+
+// heInit draws He-initialized weights: one rng.Norm per weight, in storage
+// order.
+func (d *Dense) heInit(rng *tensor.RNG) {
+	scale := 1.41421356 / sqrtf(float64(d.W.Cols)) // He init: sqrt(2/in)
 	for i := range d.W.Data {
 		d.W.Data[i] = scale * rng.Norm()
 	}
-	return d
 }
 
 func sqrtf(x float64) float64 {
@@ -70,6 +76,17 @@ func NewMLP(dims []int, rng *tensor.RNG) (*MLP, error) {
 		m.layers = append(m.layers, newDense(dims[i], dims[i+1], rng))
 	}
 	return m, nil
+}
+
+// Reinit re-draws the model's initialization from rng in place: the same
+// draws, in the same order, leaving the same state as NewMLP(m.Dims(), rng),
+// without allocating. Callers that cache a model but owe their RNG stream the
+// init draws (fl's party executor) use it instead of building a new model.
+func (m *MLP) Reinit(rng *tensor.RNG) {
+	for _, l := range m.layers {
+		l.heInit(rng)
+		l.B.Fill(0)
+	}
 }
 
 // InputDim returns the expected input width.

@@ -31,6 +31,10 @@ type SGD struct {
 // NewSGD returns an optimizer with the given learning rate.
 func NewSGD(lr float64) *SGD { return &SGD{LR: lr} }
 
+// Reset clears the optimizer state (velocity) in place, so one SGD can serve
+// successive independent trainings of one architecture without reallocating.
+func (o *SGD) Reset() { o.velocity.Fill(0) }
+
 // prepare validates the optimizer against a model with n parameters and
 // lazily sizes the velocity state.
 func (o *SGD) prepare(n int) error {
@@ -185,6 +189,11 @@ func TrainEpochsWS(ws *Workspace, m *MLP, xs []tensor.Vector, ys []int, opt *SGD
 	}
 	if batchSize <= 0 {
 		batchSize = 32
+	}
+	if batchSize > len(xs) {
+		// One batch already holds every example; a larger request (it may
+		// come off the wire) must not size the batch buffers.
+		batchSize = len(xs)
 	}
 	idx := make([]int, len(xs))
 	for i := range idx {

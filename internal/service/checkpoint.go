@@ -63,17 +63,15 @@ func SaveCheckpoint(path string, cp *Checkpoint) error {
 	if cp.SchemaVersion == 0 {
 		cp.SchemaVersion = CheckpointSchemaVersion
 	}
-	data, err := json.Marshal(cp)
-	if err != nil {
-		return fmt.Errorf("service: encode checkpoint: %w", err)
-	}
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, ".checkpoint-*.json")
 	if err != nil {
 		return fmt.Errorf("service: checkpoint temp file: %w", err)
 	}
 	tmpName := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
+	// Encoded straight into the file: json.Marshal would hold a second,
+	// checkpoint-sized copy of the encoding while it is written.
+	if err := json.NewEncoder(tmp).Encode(cp); err != nil {
 		tmp.Close()
 		os.Remove(tmpName)
 		return fmt.Errorf("service: write checkpoint: %w", err)

@@ -72,10 +72,15 @@ func CallTimeout[T any](d time.Duration, fn func() (T, error)) (T, error) {
 		v, err := fn()
 		ch <- res{v, err}
 	}()
+	// A stopped timer is collectable at once; time.After's would stay
+	// reachable from the runtime until d elapsed (go.mod pins pre-1.23
+	// timer semantics), one per call.
+	timer := time.NewTimer(d)
+	defer timer.Stop()
 	select {
 	case r := <-ch:
 		return r.v, r.err
-	case <-time.After(d):
+	case <-timer.C:
 		var zero T
 		return zero, fmt.Errorf("%w after %s", ErrCallTimeout, d)
 	}

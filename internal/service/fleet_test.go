@@ -3,6 +3,7 @@ package service
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -383,5 +384,33 @@ func TestQuorumNeed(t *testing.T) {
 		if got := (FanoutConfig{Quorum: tt.q}).QuorumNeed(tt.n); got != tt.want {
 			t.Errorf("quorumNeed(q=%g, n=%d) = %d, want %d", tt.q, tt.n, got, tt.want)
 		}
+	}
+}
+
+// TestCallTimeoutLeavesNoTimers: a call that returns in time must not leave
+// its timeout behind. go.mod pins pre-1.23 timer semantics, under which an
+// unstopped timer stays reachable from the runtime until it fires — with the
+// fleet's 1-minute (here 1-hour) timeout that is a timer and its channel per
+// call, for the whole duration.
+func TestCallTimeoutLeavesNoTimers(t *testing.T) {
+	const calls = 10000
+	heapObjects := func() uint64 {
+		runtime.GC()
+		runtime.GC() // the second cycle frees what the first one's sweep released
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapObjects
+	}
+	before := heapObjects()
+	for i := 0; i < calls; i++ {
+		if v, err := CallTimeout(time.Hour, func() (int, error) { return i, nil }); err != nil || v != i {
+			t.Fatalf("call %d = (%d, %v)", i, v, err)
+		}
+	}
+	after := heapObjects()
+	// A stranded timer is at least two objects (timer, channel): 20000 if
+	// every call leaks. Leave room for scheduler and test-runner noise.
+	if grew := int64(after) - int64(before); grew > calls/10 {
+		t.Fatalf("%d timed calls left %d heap objects behind, want none reachable", calls, grew)
 	}
 }

@@ -92,7 +92,7 @@ func TestCrossProcessParity(t *testing.T) {
 		}
 	}
 
-	// Expert parameters themselves must agree bit-for-bit: gob carries
+	// Expert parameters themselves must agree bit-for-bit: the wire carries
 	// float64s exactly and aggregation order is pinned.
 	for _, id := range recLocal.ExpertIDs {
 		el, _ := rtLocal.Aggregator().Registry().Get(id)

@@ -66,6 +66,7 @@ func startTCPFleet(t *testing.T, sc *dataset.Scenario) *TCPTransport {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { tr.Close() }) // runs before the servers' cleanups: hang up first
 	return tr
 }
 

@@ -16,15 +16,12 @@ package service
 import (
 	"errors"
 	"fmt"
-	"net"
 	"sort"
 	"sync"
 	"time"
 
-	"repro/internal/dataset"
 	"repro/internal/detect"
 	"repro/internal/fl"
-	"repro/internal/nn"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
 	"repro/internal/tensor"
@@ -52,25 +49,15 @@ type Transport interface {
 	Close() error
 }
 
-// localParty is one in-process party of a LocalTransport. Each party has
-// its own lock so fan-outs (notably the detector pass in StatsAll, the hot
-// step of every window) run genuinely in parallel across parties.
-type localParty struct {
-	id      int
-	windows fl.WindowProvider
-
-	mu       sync.Mutex
-	train    []dataset.Example
-	test     []dataset.Example
-	detector *detect.Detector
-}
-
 // LocalTransport runs every party inside the aggregator process — the
 // deployment-shaped equivalent of the simulation harness, and the reference
-// the TCP transport is parity-tested against.
+// the TCP transport is parity-tested against. Each party is the same
+// fl.PartyExecutor a party server answers through, with its own lock, so
+// fan-outs (notably the detector pass in StatsAll, the hot step of every
+// window) run genuinely in parallel across parties.
 type LocalTransport struct {
 	mu      sync.Mutex // guards the party registry only
-	parties map[int]*localParty
+	parties map[int]*fl.PartyExecutor
 	ids     []int
 }
 
@@ -78,7 +65,7 @@ var _ Transport = (*LocalTransport)(nil)
 
 // NewLocalTransport returns an empty local transport.
 func NewLocalTransport() *LocalTransport {
-	return &LocalTransport{parties: make(map[int]*localParty)}
+	return &LocalTransport{parties: make(map[int]*fl.PartyExecutor)}
 }
 
 // AddParty registers an in-process party positioned at window 0 of its
@@ -87,20 +74,21 @@ func (t *LocalTransport) AddParty(id, numClasses int, windows fl.WindowProvider)
 	if windows == nil || windows.NumWindows() == 0 {
 		return fmt.Errorf("service: party %d has no window stream", id)
 	}
-	det, err := detect.NewDetector(id, numClasses, 64)
-	if err != nil {
-		return err
-	}
 	train, test, err := windows.PartyWindow(0)
 	if err != nil {
 		return err
 	}
+	p, err := fl.NewPartyExecutor(&fl.Party{ID: id, Train: train, Test: test}, numClasses, nil)
+	if err != nil {
+		return err
+	}
+	p.SetWindowProvider(windows)
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if _, dup := t.parties[id]; dup {
 		return fmt.Errorf("service: duplicate party %d", id)
 	}
-	t.parties[id] = &localParty{id: id, windows: windows, train: train, test: test, detector: det}
+	t.parties[id] = p
 	t.ids = append(t.ids, id)
 	sort.Ints(t.ids)
 	return nil
@@ -113,7 +101,7 @@ func (t *LocalTransport) PartyIDs() []int {
 	return append([]int(nil), t.ids...)
 }
 
-func (t *LocalTransport) party(id int) (*localParty, error) {
+func (t *LocalTransport) party(id int) (*fl.PartyExecutor, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	p, ok := t.parties[id]
@@ -123,37 +111,23 @@ func (t *LocalTransport) party(id int) (*localParty, error) {
 	return p, nil
 }
 
-// Train implements Transport with the shared (seed, partyID) derivation.
+// Train implements Transport.
 func (t *LocalTransport) Train(partyID int, arch []int, global tensor.Vector, cfg fl.TrainConfig) (fl.Update, error) {
 	p, err := t.party(partyID)
 	if err != nil {
 		return fl.Update{}, err
 	}
-	p.mu.Lock()
-	snap := &fl.Party{ID: p.id, Train: p.train, Test: p.test}
-	p.mu.Unlock()
-	return fl.LocalTrain(snap, arch, global, cfg, fl.DeriveRNG(cfg.Seed, partyID))
+	return p.Train(arch, global, cfg)
 }
 
 // Stats implements Transport; the detector's rolling previous-window state
-// advances exactly as a remote party server's would. Only this party's
-// lock is held during the embedding pass, so fan-outs observe parties
-// concurrently.
+// advances exactly as a remote party server's would.
 func (t *LocalTransport) Stats(partyID int, arch []int, encoder tensor.Vector, numClasses int, seed uint64) (detect.PartyStats, error) {
-	model, err := nn.NewMLP(arch, tensor.NewRNG(0))
-	if err != nil {
-		return detect.PartyStats{}, err
-	}
-	if err := model.SetParams(encoder); err != nil {
-		return detect.PartyStats{}, err
-	}
 	p, err := t.party(partyID)
 	if err != nil {
 		return detect.PartyStats{}, err
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.detector.Observe(model, p.train, fl.DeriveRNG(seed, partyID))
+	return p.Stats(arch, encoder, seed)
 }
 
 // Eval implements Transport.
@@ -162,10 +136,7 @@ func (t *LocalTransport) Eval(partyID int, arch []int, params tensor.Vector) (fl
 	if err != nil {
 		return 0, err
 	}
-	p.mu.Lock()
-	test := p.test
-	p.mu.Unlock()
-	return fl.Evaluate(arch, params, test)
+	return p.Eval(arch, params)
 }
 
 // Hist implements Transport.
@@ -174,10 +145,7 @@ func (t *LocalTransport) Hist(partyID, numClasses int) (stats.Histogram, error) 
 	if err != nil {
 		return nil, err
 	}
-	p.mu.Lock()
-	train := p.train
-	p.mu.Unlock()
-	return dataset.LabelHistogram(train, numClasses), nil
+	return p.Hist(numClasses), nil
 }
 
 // Advance implements Transport.
@@ -186,18 +154,7 @@ func (t *LocalTransport) Advance(partyID, w int) error {
 	if err != nil {
 		return err
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if w < 0 || w >= p.windows.NumWindows() {
-		return fmt.Errorf("service: party %d window %d out of range [0,%d)", partyID, w, p.windows.NumWindows())
-	}
-	train, test, err := p.windows.PartyWindow(w)
-	if err != nil {
-		return err
-	}
-	p.train = train
-	p.test = test
-	return nil
+	return p.Advance(w)
 }
 
 // Close implements Transport.
@@ -237,19 +194,14 @@ func NewTCPTransport(addrs map[int]string, dialTimeout, callTimeout time.Duratio
 	return &TCPTransport{trainer: tr, ids: ids, addrs: m}, nil
 }
 
-// Ping dial-checks every party and returns an error naming the first
-// unreachable one, so daemons can fail fast with an actionable message.
+// Ping dials and version-checks every party and returns an error naming the
+// first unreachable one, so daemons can fail fast with an actionable message.
+// Each successful connection stays pooled for the party's first call.
 func (t *TCPTransport) Ping(timeout time.Duration) error {
-	if timeout <= 0 {
-		timeout = 5 * time.Second
-	}
 	for _, id := range t.ids {
-		addr := t.addrs[id]
-		conn, err := net.DialTimeout("tcp", addr, timeout)
-		if err != nil {
-			return fmt.Errorf("party %d at %s unreachable: %w", id, addr, err)
+		if err := t.trainer.Ping(id, timeout); err != nil {
+			return fmt.Errorf("party %d at %s unreachable: %w", id, t.addrs[id], err)
 		}
-		_ = conn.Close()
 	}
 	return nil
 }
@@ -282,6 +234,5 @@ func (t *TCPTransport) Advance(partyID, w int) error {
 	return t.trainer.AdvanceParty(partyID, w)
 }
 
-// Close implements Transport. Connections are per-call, so there is
-// nothing to tear down.
-func (t *TCPTransport) Close() error { return nil }
+// Close implements Transport: it closes the pooled party connections.
+func (t *TCPTransport) Close() error { return t.trainer.Close() }

@@ -17,11 +17,12 @@ NPARTIES=2
 # smoke exercises the policy registry end to end (POLICY=cov-detect etc.
 # work too; default keeps the quorum timings this script was tuned on).
 POLICY="${POLICY:-default}"
-# Sized so each window takes a few seconds: the party kill below must land
-# while windows are still running for the quorum assertion to mean anything.
-SAMPLES=240
-ROUNDS=8
-EPOCHS=3
+# Sized so the run takes about two seconds (half a second per window): the
+# health poll and the party kill below must land while windows are still
+# running for the quorum assertion to mean anything.
+SAMPLES=1200
+ROUNDS=16
+EPOCHS=10
 PIDS=()
 
 cleanup() {
