@@ -70,6 +70,12 @@ func TestGatewayFleetDriftAggregation(t *testing.T) {
 		if _, err := srv.Predict(ctx, rng.NormVec(dim, 0, 1)); err != nil {
 			t.Fatalf("predict %d: %v", i, err)
 		}
+		// The tee drops the oldest block when its 16-block queue is full;
+		// folding every 8 requests keeps a slow monitor goroutine from
+		// losing the baseline to a fast producer.
+		if i%8 == 7 {
+			mon.Flush()
+		}
 	}
 	mon.Flush()
 	if sum := mon.Summary(); !sum.Calibrated {

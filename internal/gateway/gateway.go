@@ -49,6 +49,8 @@ type Gateway struct {
 	fan     service.FanoutConfig
 	reg     *registry
 	session *sessionCache
+	// client serves probes, scrapes and swaps; the predict path calls its
+	// Transport — the one upstream connection pool — directly.
 	client  *http.Client
 	logger  *slog.Logger
 	tracer  *telemetry.Tracer
@@ -82,12 +84,19 @@ type gwMetrics struct {
 // protected.
 func New(cfg Config, logger *slog.Logger) (*Gateway, error) {
 	cfg = cfg.withDefaults()
+	// Replica hops go direct and uncompressed, one idle connection per admitted
+	// request (http.DefaultTransport's two per host redial at any concurrency).
+	transport := &http.Transport{
+		MaxIdleConnsPerHost: cfg.MaxInflight,
+		IdleConnTimeout:     90 * time.Second,
+		DisableCompression:  true,
+	}
 	g := &Gateway{
 		cfg:     cfg,
 		fan:     cfg.Fanout.toService(),
 		reg:     newRegistry(cfg.Models, cfg.Vnodes),
 		session: newSessionCache(cfg.SessionCache),
-		client:  &http.Client{Timeout: cfg.Fanout.toService().Timeout},
+		client:  &http.Client{Transport: transport, Timeout: cfg.Fanout.toService().Timeout},
 		logger:  logger,
 		start:   time.Now(),
 		chains:  make(map[string]Middleware),
@@ -153,10 +162,11 @@ func (g *Gateway) Start() {
 	}()
 }
 
-// Close stops background probing.
+// Close stops background probing and drops idle replica connections.
 func (g *Gateway) Close() {
 	g.once.Do(func() { close(g.stop) })
 	g.wg.Wait()
+	g.client.CloseIdleConnections()
 }
 
 // ProbeAll health-checks every registered replica of every model once,
@@ -184,16 +194,17 @@ func (g *Gateway) ProbeAll() {
 					g.logInfo(context.Background(), "replica re-admitted",
 						"replica", addr, "model", m.name, "snapshot", sum.Version)
 				}
-				// Best-effort drift scrape: fleet aggregation rides the
-				// probe cycle, and a replica without a monitor (or one
-				// still calibrating) simply contributes nothing.
-				if ds, err := g.fetchDrift(context.Background(), addr); err == nil &&
+				// Best-effort drift scrape (?n=0: the aggregate, no eval
+				// ring): fleet aggregation rides the probe cycle, and a
+				// replica without a monitor (or one still calibrating)
+				// simply contributes nothing.
+				if ds, err := getJSON[monitor.DriftState](context.Background(), g, addr, "/v1/debug/drift?n=0", "drift state"); err == nil &&
 					ds.Enabled && ds.Summary != nil && ds.Summary.Calibrated {
 					m.noteDrift(addr, ds.Summary.Score)
 				}
 				// Same contract for the continual-adaptation plane: a
 				// replica without a controller contributes nothing.
-				if as, err := g.fetchAdapt(context.Background(), addr); err == nil &&
+				if as, err := getJSON[httpapi.ContinualDebugState](context.Background(), g, addr, "/v1/debug/adapt", "adapt state"); err == nil &&
 					as.Enabled && as.State != nil {
 					m.noteAdapt(addr, as.State.Phase, as.State.WindowsCompleted)
 				}
@@ -263,7 +274,7 @@ func (g *Gateway) Predict(ctx context.Context, modelName string, x tensor.Vector
 
 	var failures []error
 	for i, addr := range candidates {
-		resp, err := g.callPredict(ctx, addr, m.name, x)
+		resp, err := g.callPredict(ctx, m, addr, x)
 		if err == nil {
 			if i > 0 {
 				g.metrics.failovers.Add(1)
@@ -299,123 +310,114 @@ func (g *Gateway) Predict(ctx context.Context, modelName string, x tensor.Vector
 	return httpapi.PredictResponse{}, http.StatusBadGateway, err
 }
 
-// callPredict proxies one predict to one replica under the per-call
-// timeout. A 4xx replica answer comes back as *clientError (terminal);
-// everything else is a replica failure eligible for failover.
-func (g *Gateway) callPredict(ctx context.Context, addr, modelName string, x tensor.Vector) (httpapi.PredictResponse, error) {
-	return service.CallTimeout(g.fan.Timeout, func() (httpapi.PredictResponse, error) {
-		body, err := json.Marshal(httpapi.PredictRequest{X: x, Model: modelName})
-		if err != nil {
-			return httpapi.PredictResponse{}, err
-		}
-		var resp httpapi.PredictResponse
-		status, raw, err := g.post(ctx, addr, "/v1/predict", body)
-		if err != nil {
-			return resp, err
-		}
-		if status >= 400 && status < 500 {
-			var eb httpapi.ErrorBody
-			_ = json.Unmarshal(raw, &eb)
-			return resp, &clientError{status: status, body: eb}
-		}
-		if status != http.StatusOK {
-			return resp, fmt.Errorf("replica status %d: %s", status, bytes.TrimSpace(raw))
-		}
-		if err := json.Unmarshal(raw, &resp); err != nil {
-			return resp, fmt.Errorf("bad replica response: %w", err)
-		}
-		return resp, nil
-	})
+// jsonHeader is the request header of every untraced replica predict;
+// shared and never written (a traced call copies it to add traceparent).
+var jsonHeader = http.Header{"Content-Type": {"application/json"}}
+
+// callPredict proxies one predict to one replica under the per-call timeout;
+// when it fires the upstream request is cancelled and the error is
+// service.ErrCallTimeout. A 4xx replica answer comes back as *clientError
+// (terminal); everything else is a replica failure eligible for failover.
+func (g *Gateway) callPredict(ctx context.Context, m *model, addr string, x tensor.Vector) (httpapi.PredictResponse, error) {
+	d := g.fan.Timeout
+	if d <= 0 {
+		return g.roundTripPredict(ctx, m, addr, x)
+	}
+	callCtx, cancel := context.WithTimeout(ctx, d)
+	defer cancel()
+	resp, err := g.roundTripPredict(callCtx, m, addr, x)
+	if errors.Is(err, context.DeadlineExceeded) && ctx.Err() == nil {
+		err = fmt.Errorf("%w after %s", service.ErrCallTimeout, d)
+	}
+	return resp, err
+}
+
+// roundTripPredict is one POST /v1/predict on the shared transport, body
+// and answer both in pooled scratch.
+func (g *Gateway) roundTripPredict(ctx context.Context, m *model, addr string, x tensor.Vector) (resp httpapi.PredictResponse, err error) {
+	out := httpapi.GetScratch()
+	defer out.Release()
+	if out.Buf, err = httpapi.AppendPredictRequest(out.Buf, x, m.name); err != nil {
+		return resp, err
+	}
+	header := jsonHeader
+	if c := telemetry.SpanFromContext(ctx).Context(); c.Valid() {
+		header = jsonHeader.Clone()
+		telemetry.Inject(header, c)
+	}
+	req := (&http.Request{
+		Method:        http.MethodPost,
+		URL:           m.predictURL(addr),
+		Header:        header,
+		Body:          out.Reader(),
+		GetBody:       out.GetBody,
+		ContentLength: int64(len(out.Buf)),
+	}).WithContext(ctx)
+	res, err := g.client.Transport.RoundTrip(req)
+	if err != nil {
+		return resp, err
+	}
+	defer res.Body.Close()
+	in := httpapi.GetScratch()
+	defer in.Release()
+	if err := in.ReadBody(res.Body); err != nil {
+		return resp, fmt.Errorf("replica status %d: reading answer: %w", res.StatusCode, err)
+	}
+	switch status := res.StatusCode; {
+	case status >= 400 && status < 500:
+		var eb httpapi.ErrorBody
+		_ = json.Unmarshal(in.Buf, &eb) // a non-JSON 4xx still reaches the client, with an empty message
+		return resp, &clientError{status: status, body: eb}
+	case status != http.StatusOK:
+		return resp, fmt.Errorf("replica status %d: %s", status, bytes.TrimSpace(in.Buf))
+	}
+	if err := httpapi.DecodePredictResponse(in.Buf, m.name, &resp); err != nil {
+		return resp, fmt.Errorf("bad replica response: %w", err)
+	}
+	return resp, nil
+}
+
+// getJSON GETs a replica path and decodes its 200 answer; what names the
+// payload in the decode error.
+func getJSON[T any](ctx context.Context, g *Gateway, addr, path, what string) (T, error) {
+	var v T
+	status, raw, err := g.call(ctx, http.MethodGet, addr, path, nil)
+	if err != nil {
+		return v, err
+	}
+	if status != http.StatusOK {
+		return v, fmt.Errorf("replica status %d: %s", status, bytes.TrimSpace(raw))
+	}
+	if err := json.Unmarshal(raw, &v); err != nil {
+		return v, fmt.Errorf("bad %s: %w", what, err)
+	}
+	return v, nil
 }
 
 // fetchSnapshot reads a replica's snapshot summary (also the health
 // probe: a replica that can summarize its snapshot can serve).
 func (g *Gateway) fetchSnapshot(ctx context.Context, addr, modelName string) (httpapi.SnapshotSummary, error) {
-	var sum httpapi.SnapshotSummary
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, "http://"+addr+"/v1/snapshot", nil)
-	if err != nil {
-		return sum, err
+	sum, err := getJSON[httpapi.SnapshotSummary](ctx, g, addr, "/v1/snapshot", "snapshot summary")
+	if err == nil && sum.Model != modelName {
+		err = fmt.Errorf("replica serves model %q, registered under %q", sum.Model, modelName)
 	}
-	res, err := g.client.Do(req)
-	if err != nil {
-		return sum, err
-	}
-	defer res.Body.Close()
-	raw, err := io.ReadAll(res.Body)
-	if err != nil {
-		return sum, err
-	}
-	if res.StatusCode != http.StatusOK {
-		return sum, fmt.Errorf("replica status %d: %s", res.StatusCode, bytes.TrimSpace(raw))
-	}
-	if err := json.Unmarshal(raw, &sum); err != nil {
-		return sum, fmt.Errorf("bad snapshot summary: %w", err)
-	}
-	if sum.Model != modelName {
-		return sum, fmt.Errorf("replica serves model %q, registered under %q", sum.Model, modelName)
-	}
-	return sum, nil
+	return sum, err
 }
 
-// fetchDrift scrapes a replica's drift-plane summary (?n=0: no eval ring,
-// just the aggregate) for fleet aggregation.
-func (g *Gateway) fetchDrift(ctx context.Context, addr string) (monitor.DriftState, error) {
-	var ds monitor.DriftState
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, "http://"+addr+"/v1/debug/drift?n=0", nil)
-	if err != nil {
-		return ds, err
+// call issues one cold-path request (probe, scrape, swap) to a replica and
+// returns status + body; a non-nil body is sent as JSON.
+func (g *Gateway) call(ctx context.Context, method, addr, path string, body []byte) (int, []byte, error) {
+	var rd io.Reader // stays a nil interface for a bodiless request
+	if body != nil {
+		rd = bytes.NewReader(body)
 	}
-	res, err := g.client.Do(req)
-	if err != nil {
-		return ds, err
-	}
-	defer res.Body.Close()
-	raw, err := io.ReadAll(res.Body)
-	if err != nil {
-		return ds, err
-	}
-	if res.StatusCode != http.StatusOK {
-		return ds, fmt.Errorf("replica status %d: %s", res.StatusCode, bytes.TrimSpace(raw))
-	}
-	if err := json.Unmarshal(raw, &ds); err != nil {
-		return ds, fmt.Errorf("bad drift state: %w", err)
-	}
-	return ds, nil
-}
-
-// fetchAdapt scrapes a replica's continual-adaptation controller state for
-// fleet aggregation.
-func (g *Gateway) fetchAdapt(ctx context.Context, addr string) (httpapi.ContinualDebugState, error) {
-	var as httpapi.ContinualDebugState
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, "http://"+addr+"/v1/debug/adapt", nil)
-	if err != nil {
-		return as, err
-	}
-	res, err := g.client.Do(req)
-	if err != nil {
-		return as, err
-	}
-	defer res.Body.Close()
-	raw, err := io.ReadAll(res.Body)
-	if err != nil {
-		return as, err
-	}
-	if res.StatusCode != http.StatusOK {
-		return as, fmt.Errorf("replica status %d: %s", res.StatusCode, bytes.TrimSpace(raw))
-	}
-	if err := json.Unmarshal(raw, &as); err != nil {
-		return as, fmt.Errorf("bad adapt state: %w", err)
-	}
-	return as, nil
-}
-
-// post issues one JSON POST to a replica path and returns status + body.
-func (g *Gateway) post(ctx context.Context, addr, path string, body []byte) (int, []byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, "http://"+addr+path, bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(ctx, method, "http://"+addr+path, rd)
 	if err != nil {
 		return 0, nil, err
 	}
-	req.Header.Set("Content-Type", "application/json")
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
 	// Propagate the active trace to the replica so its spans join ours.
 	if c := telemetry.SpanFromContext(ctx).Context(); c.Valid() {
 		telemetry.Inject(req.Header, c)
@@ -426,10 +428,7 @@ func (g *Gateway) post(ctx context.Context, addr, path string, body []byte) (int
 	}
 	defer res.Body.Close()
 	raw, err := io.ReadAll(res.Body)
-	if err != nil {
-		return 0, nil, err
-	}
-	return res.StatusCode, raw, nil
+	return res.StatusCode, raw, err
 }
 
 // BroadcastSwap fans a snapshot hot-swap out to every registered replica
@@ -455,7 +454,7 @@ func (g *Gateway) BroadcastSwap(ctx context.Context, modelName, path string) (ht
 	results, errs := service.FanOut(g.fan, addrs, "swap",
 		func(a string) string { return fmt.Sprintf("replica %s", a) }, nil,
 		func(addr string) (httpapi.SnapshotSummary, error) {
-			status, raw, err := g.post(ctx, addr, "/v1/snapshot", body)
+			status, raw, err := g.call(ctx, http.MethodPost, addr, "/v1/snapshot", body)
 			if err != nil {
 				return httpapi.SnapshotSummary{}, err
 			}

@@ -102,15 +102,8 @@ func (g *Gateway) writeUnknownModel(w http.ResponseWriter, name string) {
 }
 
 func (g *Gateway) handlePredict(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpapi.WriteError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
 	var req httpapi.PredictRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		httpapi.WriteError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
+	if !httpapi.ReadPredictRequest(w, r, &req) {
 		return
 	}
 	resp, status, err := g.Predict(r.Context(), req.Model, req.X)
@@ -130,7 +123,7 @@ func (g *Gateway) handlePredict(w http.ResponseWriter, r *http.Request) {
 		httpapi.WriteError(w, status, err.Error())
 		return
 	}
-	httpapi.WriteJSON(w, status, resp)
+	httpapi.WritePredictResponse(w, &resp)
 }
 
 func (g *Gateway) handleSnapshot(w http.ResponseWriter, r *http.Request) {

@@ -162,7 +162,11 @@ func RunLoad(ctx context.Context, cp *service.Checkpoint, cfg LoadConfig) (*Load
 		byModel[m] = &ModelTally{Model: m}
 	}
 	latencies := make([][]time.Duration, cfg.Concurrency)
-	client := &http.Client{Timeout: 10 * time.Second}
+	// One idle connection per client goroutine, so the run measures the
+	// gateway and not http.DefaultTransport redialling past two per host.
+	transport := &http.Transport{MaxIdleConnsPerHost: cfg.Concurrency}
+	defer transport.CloseIdleConnections()
+	client := &http.Client{Transport: transport, Timeout: 10 * time.Second}
 
 	start := time.Now()
 	deadline := time.Time{}

@@ -185,6 +185,12 @@ func admissionMiddleware(g *Gateway) Middleware {
 func loggingMiddleware(g *Gateway) Middleware {
 	return func(next http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if g.logger == nil {
+				// Nothing to record a status or a duration for.
+				next.ServeHTTP(w, r)
+				g.metrics.logged.Add(1)
+				return
+			}
 			rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
 			start := time.Now()
 			next.ServeHTTP(rec, r)

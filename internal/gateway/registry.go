@@ -2,6 +2,7 @@ package gateway
 
 import (
 	"fmt"
+	"net/url"
 	"sort"
 	"sync"
 
@@ -34,7 +35,10 @@ type model struct {
 // ring membership: an unhealthy replica is out of the ring but stays
 // registered, and the prober re-admits it when it answers again.
 type replica struct {
-	addr     string
+	addr string
+	// predict is the replica's /v1/predict URL, built once and shared
+	// read-only by every proxied request.
+	predict  *url.URL
 	healthy  bool
 	failures int
 	snapshot int
@@ -77,7 +81,8 @@ func (r *registry) addReplica(name, addr string) *model {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if _, ok := m.replicas[addr]; !ok {
-		m.replicas[addr] = &replica{addr: addr, healthy: true}
+		predict := &url.URL{Scheme: "http", Host: addr, Path: "/v1/predict"}
+		m.replicas[addr] = &replica{addr: addr, predict: predict, healthy: true}
 		m.ring.Add(addr)
 	}
 	return m
@@ -116,6 +121,13 @@ func (r *registry) all() []*model {
 	r.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
 	return out
+}
+
+// predictURL returns the registered replica's /v1/predict URL.
+func (m *model) predictURL(addr string) *url.URL {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.replicas[addr].predict
 }
 
 // knownVersion returns the model's snapshot watermark.

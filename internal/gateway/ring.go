@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -182,12 +183,10 @@ func (r *Ring) Successors(key uint64, n int) []string {
 		n = len(r.member)
 	}
 	out := make([]string, 0, n)
-	seen := make(map[string]bool, n)
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= key })
 	for scanned := 0; scanned < len(r.points) && len(out) < n; scanned++ {
-		p := r.points[(i+scanned)%len(r.points)]
-		if !seen[p.member] {
-			seen[p.member] = true
+		// out holds at most the member count: a linear scan beats a map.
+		if p := r.points[(i+scanned)%len(r.points)]; !slices.Contains(out, p.member) {
 			out = append(out, p.member)
 		}
 	}

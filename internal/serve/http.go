@@ -70,15 +70,8 @@ func (s *Server) checkModel(w http.ResponseWriter, name string) bool {
 }
 
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpapi.WriteError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
 	var req httpapi.PredictRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		httpapi.WriteError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
+	if !httpapi.ReadPredictRequest(w, r, &req) {
 		return
 	}
 	if !s.checkModel(w, req.Model) {
@@ -115,7 +108,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		httpapi.WriteError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	httpapi.WriteJSON(w, http.StatusOK, httpapi.PredictResponse{
+	httpapi.WritePredictResponse(w, &httpapi.PredictResponse{
 		Class: res.Class, Expert: res.Expert, Matched: res.Matched,
 		Cached: res.Cached, Snapshot: res.Version, Model: s.cfg.Model,
 	})

@@ -100,7 +100,10 @@ func TestServerMonitorDetectsInjectedShift(t *testing.T) {
 	defer srv.Close()
 
 	cfg := tinyLoadConfig()
-	cfg.Repeat = 40
+	// 64 000 requests, ~0.2 s: RunLoad injects the shift from a goroutine that
+	// polls the request counter between sleeps, and on two busy threads it
+	// can oversleep a 6 400-request run (20 ms) past the end.
+	cfg.Repeat = 400
 	cfg.ShiftAt = 0.5
 	res, err := RunLoad(context.Background(), srv, cp, cfg)
 	if err != nil {
