@@ -1,5 +1,26 @@
-// Command shiftex-bench regenerates the paper's tables and figures from the
-// Go reproduction. Each experiment id maps to one artifact of the paper's
+// Command shiftex-bench is the repo's one measurement front end: every
+// BENCH_*.json artifact is written and checked here, and nowhere else.
+//
+// Invoked with a subcommand it runs or checks a load benchmark (each mode's
+// flags: shiftex-bench <mode> -h):
+//
+//	serve-load    replay a checkpoint's scenario against an in-process
+//	              server: BENCH_serving.json, BENCH_serving-cold.json (-cold)
+//	trace         tracing overhead, paired trials: BENCH_tracing.json
+//	drift         drift detection + monitoring overhead, paired trials:
+//	              BENCH_drift.json
+//	adapt-live    closed-loop detect→adapt→swap: BENCH_adapt-live.json
+//	gateway-load  drive a RUNNING gateway over HTTP, optionally SIGKILLing a
+//	              replica mid-load: BENCH_gateway.json
+//	check FILE    validate any BENCH_*.json, print its headline numbers and
+//	              apply its kind's gate (-min-throughput, -min-mean-batch,
+//	              -against, -max-overhead, -max-drift-overhead, -min-affinity)
+//
+//	shiftex-bench serve-load -checkpoint ckpt.json -samples 40 -test 20 -cold -duration 2s -repeat 1000000 -json .
+//	shiftex-bench check BENCH_serving-cold.json -min-throughput 10000 -min-mean-batch 2
+//
+// Invoked with flags only it regenerates the paper's tables and figures from
+// the Go reproduction. Each experiment id maps to one artifact of the paper's
 // evaluation (§7):
 //
 //	table1-fmow, table1-cifar           Table 1 (Drop/Time/Max per window)
@@ -82,6 +103,11 @@ func nameHint() string {
 }
 
 func run(args []string) error {
+	if len(args) > 0 {
+		if sub, ok := subcommands[args[0]]; ok {
+			return sub(args[1:])
+		}
+	}
 	fs := flag.NewFlagSet("shiftex-bench", flag.ContinueOnError)
 	exp := fs.String("exp", "all", "experiment id (see package doc)")
 	paper := fs.Bool("paper", false, "use paper-scale protocol (slow)")
@@ -259,11 +285,11 @@ func (rc runConfig) distributionTechnique() string {
 
 // replayArtifact prints the table and summary for a recorded grid run.
 func replayArtifact(w io.Writer, path string) error {
-	a, err := experiments.ReadArtifactFile(path)
-	if err != nil {
+	var a experiments.Artifact
+	if err := experiments.ReadArtifactFile(path, &a); err != nil {
 		return err
 	}
-	cmp, err := experiments.ComparisonFromArtifact(a)
+	cmp, err := experiments.ComparisonFromArtifact(&a)
 	if err != nil {
 		return err
 	}
@@ -332,11 +358,11 @@ func runHeadline(ctx context.Context, opts experiments.Options, jsonDir string, 
 
 	// Compare before any stripping so -deterministic and -against compose.
 	if against != "" {
-		baseline, err := experiments.ReadArtifactFile(against)
-		if err != nil {
+		var baseline experiments.Artifact
+		if err := experiments.ReadArtifactFile(against, &baseline); err != nil {
 			return fmt.Errorf("baseline %s: %w", against, err)
 		}
-		_, regressed, summary, err := experiments.CompareWallClock(baseline, a, 0.20)
+		_, regressed, summary, err := experiments.CompareWallClock(&baseline, a, 0.20)
 		if err != nil {
 			return fmt.Errorf("baseline %s: %w", against, err)
 		}
@@ -351,10 +377,7 @@ func runHeadline(ctx context.Context, opts experiments.Options, jsonDir string, 
 	if deterministic {
 		a.StripTiming()
 	}
-	if err := os.MkdirAll(jsonDir, 0o755); err != nil {
-		return err
-	}
-	path, err := experiments.WriteArtifactFile(jsonDir, a)
+	path, err := writeArtifact(jsonDir, a)
 	if err != nil {
 		return err
 	}
@@ -443,15 +466,12 @@ func writeArtifacts(dir string, deterministic bool, opts experiments.Options, ce
 	if dir == "" {
 		return nil
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
 	for _, a := range experiments.ArtifactsFromCells(opts, cells) {
 		a.Name += suffix
 		if deterministic {
 			a.StripTiming()
 		}
-		path, err := experiments.WriteArtifactFile(dir, a)
+		path, err := writeArtifact(dir, a)
 		if err != nil {
 			return err
 		}

@@ -33,9 +33,7 @@
 // snapshot and serves predictions over HTTP, routing each request to the
 // expert whose latent memory matches the request's embedding signature
 // (with the global model as fallback) through a micro-batching pool of
-// zero-allocation workspaces. Its load generator replays the training
-// scenario against the server and records throughput, latency quantiles,
-// and per-regime routing accuracy as the committed BENCH_serving.json.
+// zero-allocation workspaces.
 //
 // internal/gateway scales that to a fleet: cmd/shiftex-gateway fronts many
 // named models, each served by multiple shiftex-serve replicas, routing
@@ -44,10 +42,7 @@
 // logging) selected by name from config per route group. Every daemon
 // speaks the same versioned /v1 HTTP surface defined in internal/httpapi
 // — one predict/state/metrics schema across aggregator, serve, and
-// gateway, with deprecated unversioned aliases. The gateway's
-// multi-process load generator SIGKILLs a replica mid-load and records
-// the run as the committed BENCH_gateway.json (zero dropped requests,
-// full affinity retention for surviving replicas).
+// gateway, with deprecated unversioned aliases.
 //
 // internal/monitor watches that serving traffic drift: the batched routing
 // path tees each routed embedding off-path into bounded sketches scored
@@ -72,6 +67,15 @@
 // pins the closed-loop contract: an injected shift is detected, adapted,
 // and swapped with zero dropped requests, and the shifted regime's routing
 // strictly improves over the frozen baseline.
+//
+// internal/loadgen measures all of it from the outside, and only
+// cmd/shiftex-bench links it: one load driver (claim counter, pacing,
+// deadline, inline at-fraction triggers) over two targets — an in-process
+// server, a gateway URL — one paired best-of-N trial protocol, and the
+// serving, gateway, tracing, drift and adapt-live benchmarks that write the
+// committed BENCH_*.json artifacts (shiftex-bench serve-load, trace, drift,
+// adapt-live, gateway-load; shiftex-bench check gates any of them). The
+// daemons carry configuration flags only.
 //
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 // paper-vs-measured record, the cross-process parity contract, and the

@@ -20,6 +20,8 @@ package continual
 
 import (
 	"errors"
+	"flag"
+	"strconv"
 	"sync"
 	"time"
 
@@ -105,6 +107,19 @@ type Config struct {
 	Validation ValidationConfig
 	// Now overrides the clock (tests); nil uses time.Now.
 	Now func() time.Time
+}
+
+// BindFlags registers the controller's tuning flags on fs; parsing fs fills
+// c. Zero leaves a field at its package default.
+func (c *Config) BindFlags(fs *flag.FlagSet) {
+	fs.IntVar(&c.Hysteresis, "adapt-hysteresis", 0, "continual: consecutive crossed drift evaluations required to arm a trigger (0 = package default, 2)")
+	fs.DurationVar(&c.Cooldown, "adapt-cooldown", 0, "continual: refractory period after an adaptation window during which triggers are suppressed (0 = package default, 30s)")
+	fs.BoolFunc("adapt-validation", "continual: gate promotion on the candidate snapshot not regressing held-back live routing quality (default true)", func(v string) error {
+		on, err := strconv.ParseBool(v)
+		c.Validation.Disabled = !on
+		return err
+	})
+	fs.IntVar(&c.Validation.MinSamples, "adapt-validation-samples", 0, "continual: minimum held-back live embeddings the validation gate needs to judge a candidate (0 = package default, 32)")
 }
 
 func (c Config) withDefaults() Config {
@@ -198,6 +213,9 @@ func New(src DriftSource, tgt Target, tr Trainer, cfg Config) (*Controller, erro
 		done: make(chan struct{}),
 	}, nil
 }
+
+// Config returns the configuration in effect, defaults resolved.
+func (c *Controller) Config() Config { return c.cfg }
 
 // Start subscribes to the drift source and launches the run loop. Calling it
 // more than once is a no-op.

@@ -1,13 +1,8 @@
 package experiments
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"os"
-	"path/filepath"
 )
 
 // AdaptLiveSchemaVersion is bumped whenever the BENCH_adapt-live.json
@@ -152,52 +147,23 @@ func (a *AdaptLiveArtifact) CheckAdaptLive() error {
 	return nil
 }
 
-// Encode writes the artifact as indented, newline-terminated JSON.
-func (a *AdaptLiveArtifact) Encode(w io.Writer) error {
-	buf, err := json.MarshalIndent(a, "", "  ")
-	if err != nil {
-		return fmt.Errorf("experiments: encode adapt-live artifact: %w", err)
-	}
-	buf = append(buf, '\n')
-	_, err = w.Write(buf)
-	return err
+// ArtifactName implements Record.
+func (a *AdaptLiveArtifact) ArtifactName() string { return a.Name }
+
+// Summary implements Record: traffic and detection, the loop, the recovery.
+func (a *AdaptLiveArtifact) Summary() string {
+	return fmt.Sprintf("adapt-live artifact ok: requests=%d errors=%d rejected=%d shiftAtSample=%d — %s\n"+
+		"  loop: windows completed=%d rolledBack=%d rejected=%d, snapshot v%d→v%d, window=%.0fms, shift→swap=%.0fms, experts %d→%d (+%d new, %d merged)\n"+
+		"  recovery: shifted routing %.3f → %.3f, shifted accuracy %.3f → %.3f (validation matched %.3f → %.3f over %d held-back samples)",
+		a.Requests, a.Errors, a.Rejected, a.ShiftAtSample,
+		detection(a.Detected, a.DetectedAtSample, a.DetectionLatencySamples, a.ScoreAtDetection),
+		a.WindowsCompleted, a.WindowsRolledBack, a.WindowsRejected,
+		a.SwappedFromVersion, a.SwappedToVersion, a.WindowDurationMs, a.AdaptLatencyMs,
+		a.ExpertsBefore, a.ExpertsAfter, a.NewExperts, a.Merged,
+		a.FrozenShiftedRouted, a.PostSwapShiftedRouted,
+		a.FrozenShiftedAccuracy, a.PostSwapShiftedAccuracy,
+		a.ValidationBaselineMatched, a.ValidationCandidateMatched, a.ValidationSamples)
 }
 
-// DecodeAdaptLiveArtifact reads and validates one adapt-live artifact.
-// Unknown fields are rejected so schema drift fails loudly.
-func DecodeAdaptLiveArtifact(r io.Reader) (*AdaptLiveArtifact, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	var a AdaptLiveArtifact
-	if err := dec.Decode(&a); err != nil {
-		return nil, fmt.Errorf("experiments: decode adapt-live artifact: %w", err)
-	}
-	if err := a.Validate(); err != nil {
-		return nil, err
-	}
-	return &a, nil
-}
-
-// WriteAdaptLiveArtifactFile encodes the artifact into dir under the
-// canonical BENCH_adapt-live.json name and returns the written path.
-func WriteAdaptLiveArtifactFile(dir string, a *AdaptLiveArtifact) (string, error) {
-	var buf bytes.Buffer
-	if err := a.Encode(&buf); err != nil {
-		return "", err
-	}
-	path := filepath.Join(dir, ArtifactFileName(a.Name))
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		return "", fmt.Errorf("experiments: write adapt-live artifact: %w", err)
-	}
-	return path, nil
-}
-
-// ReadAdaptLiveArtifactFile decodes one adapt-live artifact from disk.
-func ReadAdaptLiveArtifactFile(path string) (*AdaptLiveArtifact, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: read adapt-live artifact: %w", err)
-	}
-	defer f.Close()
-	return DecodeAdaptLiveArtifact(f)
-}
+// Gate implements Record: CheckAdaptLive, which takes no threshold.
+func (a *AdaptLiveArtifact) Gate(Gates) error { return a.CheckAdaptLive() }

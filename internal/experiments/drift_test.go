@@ -1,11 +1,6 @@
 package experiments
 
-import (
-	"bytes"
-	"reflect"
-	"strings"
-	"testing"
-)
+import "testing"
 
 func validDriftArtifact() *DriftArtifact {
 	return &DriftArtifact{
@@ -50,27 +45,6 @@ func validDriftArtifact() *DriftArtifact {
 		Delta:                     0.013,
 		ScoreAtDetection:          3.4,
 		MaxScore:                  5.1,
-	}
-}
-
-func TestDriftArtifactRoundTrip(t *testing.T) {
-	a := validDriftArtifact()
-	var buf bytes.Buffer
-	if err := a.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeDriftArtifact(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, a) {
-		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, a)
-	}
-}
-
-func TestDriftArtifactRejectsUnknownFields(t *testing.T) {
-	if _, err := DecodeDriftArtifact(strings.NewReader(`{"schema":1,"name":"drift","bogus":true}`)); err == nil {
-		t.Fatal("expected unknown-field error")
 	}
 }
 

@@ -1,13 +1,8 @@
 package experiments
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"os"
-	"path/filepath"
 )
 
 // GatewaySchemaVersion is bumped whenever the BENCH_gateway.json layout
@@ -136,52 +131,36 @@ func (a *GatewayArtifact) MinAffinityRetained() float64 {
 	return min
 }
 
-// Encode writes the artifact as indented, newline-terminated JSON.
-func (a *GatewayArtifact) Encode(w io.Writer) error {
-	buf, err := json.MarshalIndent(a, "", "  ")
-	if err != nil {
-		return fmt.Errorf("experiments: encode gateway artifact: %w", err)
+// ArtifactName implements Record.
+func (a *GatewayArtifact) ArtifactName() string { return a.Name }
+
+// Summary implements Record: the headline line, then one line per model.
+func (a *GatewayArtifact) Summary() string {
+	s := fmt.Sprintf("gateway artifact ok: requests=%d errors=%d retried=%d rejected=%d throughputPerSec=%.0f p50Ms=%.3g p99Ms=%.3g accuracy=%.3f failovers=%d evictions=%d readmissions=%d minAffinity=%.3f models=%d",
+		a.Requests, a.Errors, a.Retried, a.Rejected, a.ThroughputPerSec, a.LatencyMsP50, a.LatencyMsP99,
+		a.Accuracy, a.Failovers, a.Evictions, a.Readmissions, a.MinAffinityRetained(), len(a.Models))
+	for _, m := range a.Models {
+		s += fmt.Sprintf("\n  model %-10s %6d requests  replicas=%d healthy=%d", m.Model, m.Requests, m.Replicas, m.HealthyReplicas)
+		if m.KeysTracked > 0 {
+			s += fmt.Sprintf("  shrink: %d keys tracked, moved %.3f, retained-of-survivors %.3f",
+				m.KeysTracked, m.MovedFraction, m.AffinityRetained)
+		}
 	}
-	buf = append(buf, '\n')
-	_, err = w.Write(buf)
-	return err
+	return s
 }
 
-// DecodeGatewayArtifact reads and validates one gateway artifact.
-// Unknown fields are rejected so schema drift fails loudly.
-func DecodeGatewayArtifact(r io.Reader) (*GatewayArtifact, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	var a GatewayArtifact
-	if err := dec.Decode(&a); err != nil {
-		return nil, fmt.Errorf("experiments: decode gateway artifact: %w", err)
+// Gate implements Record: zero requests failed after retries, and the
+// affinity and throughput floors when set.
+func (a *GatewayArtifact) Gate(g Gates) error {
+	switch {
+	case a.Errors > 0:
+		return fmt.Errorf("artifact records %d requests failed after retries", a.Errors)
+	case g.MinAffinity > 0 && !a.Options.KillReplica:
+		return errors.New("a minimum affinity is set but the artifact records no replica kill")
+	case g.MinAffinity > 0 && a.MinAffinityRetained() < g.MinAffinity:
+		return fmt.Errorf("affinity retention %.3f below required %.3f", a.MinAffinityRetained(), g.MinAffinity)
+	case g.MinThroughput > 0 && a.ThroughputPerSec < g.MinThroughput:
+		return fmt.Errorf("throughput %.0f/s below required %.0f/s", a.ThroughputPerSec, g.MinThroughput)
 	}
-	if err := a.Validate(); err != nil {
-		return nil, err
-	}
-	return &a, nil
-}
-
-// WriteGatewayArtifactFile encodes the artifact into dir under the
-// canonical BENCH_gateway.json name and returns the written path.
-func WriteGatewayArtifactFile(dir string, a *GatewayArtifact) (string, error) {
-	var buf bytes.Buffer
-	if err := a.Encode(&buf); err != nil {
-		return "", err
-	}
-	path := filepath.Join(dir, ArtifactFileName(a.Name))
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		return "", fmt.Errorf("experiments: write gateway artifact: %w", err)
-	}
-	return path, nil
-}
-
-// ReadGatewayArtifactFile decodes one gateway artifact from disk.
-func ReadGatewayArtifactFile(path string) (*GatewayArtifact, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: read gateway artifact: %w", err)
-	}
-	defer f.Close()
-	return DecodeGatewayArtifact(f)
+	return nil
 }

@@ -168,11 +168,11 @@ func TestPolicyArtifactRoundTrip(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := a.Encode(&buf); err != nil {
+	if err := EncodeArtifact(&buf, a); err != nil {
 		t.Fatal(err)
 	}
-	back, err := DecodeArtifact(&buf)
-	if err != nil {
+	back := &Artifact{}
+	if err := DecodeArtifact(&buf, back); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(a, back) {

@@ -1,13 +1,8 @@
 package experiments
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"os"
-	"path/filepath"
 )
 
 // ServingSchemaVersion is bumped whenever the BENCH_serving.json layout
@@ -118,52 +113,31 @@ func (a *ServingArtifact) Validate() error {
 	return nil
 }
 
-// Encode writes the artifact as indented, newline-terminated JSON.
-func (a *ServingArtifact) Encode(w io.Writer) error {
-	buf, err := json.MarshalIndent(a, "", "  ")
-	if err != nil {
-		return fmt.Errorf("experiments: encode serving artifact: %w", err)
+// ArtifactName implements Record.
+func (a *ServingArtifact) ArtifactName() string { return a.Name }
+
+// Summary implements Record: the headline line, then one line per regime.
+func (a *ServingArtifact) Summary() string {
+	s := fmt.Sprintf("serving artifact ok: name=%s requests=%d errors=%d throughputPerSec=%.0f p50Ms=%.3g p90Ms=%.3g p99Ms=%.3g accuracy=%.3f routing=%.3f meanBatch=%.2f regimes=%d swaps=%d",
+		a.Name, a.Requests, a.Errors, a.ThroughputPerSec, a.LatencyMsP50, a.LatencyMsP90, a.LatencyMsP99,
+		a.Accuracy, a.RoutedToAssigned, a.MeanBatch, len(a.Regimes), a.Swaps)
+	for _, g := range a.Regimes {
+		s += fmt.Sprintf("\n  regime %-10s %6d requests  accuracy=%.3f  routed-to-assigned=%.3f  matched=%.3f",
+			g.Regime, g.Requests, g.Accuracy, g.RoutedToAssigned, g.MatchedFraction)
 	}
-	buf = append(buf, '\n')
-	_, err = w.Write(buf)
-	return err
+	return s
 }
 
-// DecodeServingArtifact reads and validates one serving artifact. Unknown
-// fields are rejected so schema drift fails loudly.
-func DecodeServingArtifact(r io.Reader) (*ServingArtifact, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	var a ServingArtifact
-	if err := dec.Decode(&a); err != nil {
-		return nil, fmt.Errorf("experiments: decode serving artifact: %w", err)
+// Gate implements Record: zero errored requests, and the throughput and
+// mean-batch floors when set.
+func (a *ServingArtifact) Gate(g Gates) error {
+	switch {
+	case a.Errors > 0:
+		return fmt.Errorf("artifact records %d errored requests", a.Errors)
+	case g.MinThroughput > 0 && a.ThroughputPerSec < g.MinThroughput:
+		return fmt.Errorf("throughput %.0f/s below required %.0f/s", a.ThroughputPerSec, g.MinThroughput)
+	case g.MinMeanBatch > 0 && a.MeanBatch < g.MinMeanBatch:
+		return fmt.Errorf("mean batch size %.2f below required %.2f (micro-batching did not engage)", a.MeanBatch, g.MinMeanBatch)
 	}
-	if err := a.Validate(); err != nil {
-		return nil, err
-	}
-	return &a, nil
-}
-
-// WriteServingArtifactFile encodes the artifact into dir under the
-// canonical BENCH_serving.json name and returns the written path.
-func WriteServingArtifactFile(dir string, a *ServingArtifact) (string, error) {
-	var buf bytes.Buffer
-	if err := a.Encode(&buf); err != nil {
-		return "", err
-	}
-	path := filepath.Join(dir, ArtifactFileName(a.Name))
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		return "", fmt.Errorf("experiments: write serving artifact: %w", err)
-	}
-	return path, nil
-}
-
-// ReadServingArtifactFile decodes one serving artifact from disk.
-func ReadServingArtifactFile(path string) (*ServingArtifact, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: read serving artifact: %w", err)
-	}
-	defer f.Close()
-	return DecodeServingArtifact(f)
+	return nil
 }

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"bytes"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -25,35 +23,6 @@ func validServingArtifact() *ServingArtifact {
 			{Regime: "none", Requests: 160, Accuracy: 0.8, RoutedToAssigned: 0.9, MatchedFraction: 0.4},
 			{Regime: "fog/3", Requests: 160, Accuracy: 0.6, RoutedToAssigned: 0.7, MatchedFraction: 0.9},
 		},
-	}
-}
-
-func TestServingArtifactRoundTrip(t *testing.T) {
-	a := validServingArtifact()
-	var buf bytes.Buffer
-	if err := a.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeServingArtifact(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Requests != a.Requests || len(got.Regimes) != 2 || got.Regimes[1].Regime != "fog/3" {
-		t.Fatalf("round trip lost data: %+v", got)
-	}
-}
-
-func TestServingArtifactFile(t *testing.T) {
-	dir := t.TempDir()
-	path, err := WriteServingArtifactFile(dir, validServingArtifact())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if filepath.Base(path) != "BENCH_serving.json" {
-		t.Fatalf("wrote %s, want BENCH_serving.json", path)
-	}
-	if _, err := ReadServingArtifactFile(path); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -83,36 +52,29 @@ func TestServingArtifactValidation(t *testing.T) {
 	}
 }
 
-func TestServingColdArtifactFile(t *testing.T) {
+func TestServingArtifactGate(t *testing.T) {
 	a := validServingArtifact()
-	a.Name = ServingColdArtifactName
-	a.Options.ColdTraffic = true
-	a.Options.CacheSize = -1
-	a.CacheHitRate = 0
-	dir := t.TempDir()
-	path, err := WriteServingArtifactFile(dir, a)
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name string
+		g    Gates
+		want string // "" = passes
+	}{
+		{"no thresholds", Gates{}, ""},
+		{"floors met", Gates{MinThroughput: 10000, MinMeanBatch: 2}, ""},
+		{"throughput floor", Gates{MinThroughput: 30000}, "throughput"},
+		{"mean-batch floor", Gates{MinMeanBatch: 4}, "mean batch"},
+		{"other kinds' thresholds ignored", Gates{MinAffinity: 0.9, MaxTracingOverhead: 5, MaxDriftOverhead: 3}, ""},
+	} {
+		err := a.Gate(tc.g)
+		if (tc.want == "") != (err == nil) || (err != nil && !strings.Contains(err.Error(), tc.want)) {
+			t.Errorf("%s: err=%v, want mention of %q", tc.name, err, tc.want)
+		}
 	}
-	if filepath.Base(path) != "BENCH_serving-cold.json" {
-		t.Fatalf("wrote %s, want BENCH_serving-cold.json", path)
+	a.Errors = 3
+	if err := a.Gate(Gates{}); err == nil {
+		t.Error("errored requests must fail the gate with no threshold set")
 	}
-	got, err := ReadServingArtifactFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Options.ColdTraffic || got.Name != ServingColdArtifactName {
-		t.Fatalf("cold round trip lost the marker: %+v", got)
-	}
-}
-
-func TestServingArtifactRejectsUnknownFields(t *testing.T) {
-	var buf bytes.Buffer
-	if err := validServingArtifact().Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	tampered := bytes.Replace(buf.Bytes(), []byte(`"schema"`), []byte(`"bogusField": 1, "schema"`), 1)
-	if _, err := DecodeServingArtifact(bytes.NewReader(tampered)); err == nil {
-		t.Fatal("unknown field must be rejected")
+	if !strings.Contains(a.Summary(), "regime fog/3") {
+		t.Errorf("summary lacks the per-regime lines:\n%s", a.Summary())
 	}
 }

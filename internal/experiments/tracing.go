@@ -1,13 +1,8 @@
 package experiments
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"os"
-	"path/filepath"
 )
 
 // TracingSchemaVersion is bumped whenever the BENCH_tracing.json layout
@@ -94,52 +89,20 @@ func (a *TracingArtifact) CheckOverhead(maxPercent float64) error {
 	return nil
 }
 
-// Encode writes the artifact as indented, newline-terminated JSON.
-func (a *TracingArtifact) Encode(w io.Writer) error {
-	buf, err := json.MarshalIndent(a, "", "  ")
-	if err != nil {
-		return fmt.Errorf("experiments: encode tracing artifact: %w", err)
-	}
-	buf = append(buf, '\n')
-	_, err = w.Write(buf)
-	return err
+// ArtifactName implements Record.
+func (a *TracingArtifact) ArtifactName() string { return a.Name }
+
+// Summary implements Record.
+func (a *TracingArtifact) Summary() string {
+	return fmt.Sprintf("tracing artifact ok: baseline=%.0f/s traced=%.0f/s overhead=%.2f%% spans=%d (baseline p99=%.3gms traced p99=%.3gms)",
+		a.BaselineThroughputPerSec, a.TracedThroughputPerSec, a.OverheadPercent,
+		a.SpansRecorded, a.BaselineLatencyMsP99, a.TracedLatencyMsP99)
 }
 
-// DecodeTracingArtifact reads and validates one tracing artifact.
-// Unknown fields are rejected so schema drift fails loudly.
-func DecodeTracingArtifact(r io.Reader) (*TracingArtifact, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	var a TracingArtifact
-	if err := dec.Decode(&a); err != nil {
-		return nil, fmt.Errorf("experiments: decode tracing artifact: %w", err)
+// Gate implements Record: CheckOverhead under the tracing budget, when set.
+func (a *TracingArtifact) Gate(g Gates) error {
+	if g.MaxTracingOverhead > 0 {
+		return a.CheckOverhead(g.MaxTracingOverhead)
 	}
-	if err := a.Validate(); err != nil {
-		return nil, err
-	}
-	return &a, nil
-}
-
-// WriteTracingArtifactFile encodes the artifact into dir under the
-// canonical BENCH_tracing.json name and returns the written path.
-func WriteTracingArtifactFile(dir string, a *TracingArtifact) (string, error) {
-	var buf bytes.Buffer
-	if err := a.Encode(&buf); err != nil {
-		return "", err
-	}
-	path := filepath.Join(dir, ArtifactFileName(a.Name))
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		return "", fmt.Errorf("experiments: write tracing artifact: %w", err)
-	}
-	return path, nil
-}
-
-// ReadTracingArtifactFile decodes one tracing artifact from disk.
-func ReadTracingArtifactFile(path string) (*TracingArtifact, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: read tracing artifact: %w", err)
-	}
-	defer f.Close()
-	return DecodeTracingArtifact(f)
+	return nil
 }

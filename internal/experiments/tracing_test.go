@@ -1,11 +1,6 @@
 package experiments
 
-import (
-	"bytes"
-	"reflect"
-	"strings"
-	"testing"
-)
+import "testing"
 
 func validTracingArtifact() *TracingArtifact {
 	return &TracingArtifact{
@@ -37,27 +32,6 @@ func validTracingArtifact() *TracingArtifact {
 		TracedLatencyMsP99:       6.1,
 		SpansRecorded:            144000,
 		OverheadPercent:          1.47,
-	}
-}
-
-func TestTracingArtifactRoundTrip(t *testing.T) {
-	a := validTracingArtifact()
-	var buf bytes.Buffer
-	if err := a.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeTracingArtifact(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, a) {
-		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, a)
-	}
-}
-
-func TestTracingArtifactRejectsUnknownFields(t *testing.T) {
-	if _, err := DecodeTracingArtifact(strings.NewReader(`{"schema":1,"name":"tracing","bogus":true}`)); err == nil {
-		t.Fatal("expected unknown-field error")
 	}
 }
 

@@ -21,6 +21,7 @@
 package monitor
 
 import (
+	"flag"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -74,6 +75,17 @@ type Config struct {
 	Calibrate stats.CalibrateConfig
 	// Seed drives the calibration resampling RNG (default 1).
 	Seed uint64
+}
+
+// BindFlags registers the monitor's tuning flags on fs; parsing fs fills c.
+// Zero leaves a field at its package default.
+func (c *Config) BindFlags(fs *flag.FlagSet) {
+	fs.IntVar(&c.EvalEvery, "monitor-eval-every", 0, "drift monitor: run a drift evaluation every this many folded samples (0 = package default)")
+	fs.IntVar(&c.BaselineSize, "monitor-baseline", 0, "drift monitor: baseline reservoir size frozen as the no-shift reference (0 = package default)")
+	fs.IntVar(&c.WindowSize, "monitor-window", 0, "drift monitor: sliding recent-embedding window scored against the baseline (0 = package default)")
+	fs.Float64Var(&c.Threshold, "monitor-threshold", 0, "drift monitor: normalized-score crossing level (0 = package default)")
+	fs.IntVar(&c.SampleEvery, "monitor-sample", 0, "drift monitor: fold only every Nth teed block — the monitor's CPU governor on saturated hosts (0 = package default, every block)")
+	fs.IntVar(&c.Calibrate.Resamples, "monitor-resamples", 0, "drift monitor: bootstrap resamples calibrating the null threshold δ (0 = package default; each resample costs one detector pass over the baseline)")
 }
 
 func (c Config) withDefaults() Config {

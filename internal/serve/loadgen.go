@@ -1,68 +1,24 @@
 package serve
 
 import (
-	"context"
 	"errors"
 	"fmt"
-	"runtime"
-	"sort"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/dataset"
-	"repro/internal/experiments"
 	"repro/internal/service"
-	"repro/internal/telemetry"
 	"repro/internal/tensor"
 )
 
-// LoadConfig tunes the load generator.
+// LoadConfig is the scenario shape Workload regenerates: it must match the
+// training run's, because the checkpoint pins seed and windows but not data
+// shape. Defaults match cmd/shiftex-aggregator's (120/60).
 type LoadConfig struct {
-	// TargetQPS paces requests at this aggregate rate; 0 runs open loop
-	// (as fast as the pipeline accepts).
-	TargetQPS float64
-	// Concurrency is the number of client goroutines (default: 2 per core).
-	Concurrency int
-	// Repeat is how many passes over the window's request stream to replay
-	// (default 1). Later passes exercise the LRU route cache.
-	Repeat int
-	// MaxDuration stops the run early when positive.
-	MaxDuration time.Duration
-	// SamplesPerParty / TestPerParty reproduce the scenario shape of the
-	// training run (the checkpoint pins seed and windows but not data
-	// shape); defaults match cmd/shiftex-aggregator's defaults (120/60).
 	SamplesPerParty int
 	TestPerParty    int
-	// SwapMidLoad hot-swaps a freshly built snapshot of the same
-	// checkpoint halfway through the run, exercising the zero-drop swap
-	// path under live traffic.
-	SwapMidLoad bool
-	// ShiftAt, in (0, 1), injects a covariate regime change after that
-	// fraction of the run: requests issued beyond the shift point replay
-	// ShiftCorruption-transformed inputs. The fraction is measured against
-	// MaxDuration when one is set (a deadline, not the request counter,
-	// decides where a huge Repeat ends), otherwise against the total
-	// request count. Zero disables injection.
-	ShiftAt float64
-	// ShiftCorruption is the transform injected at the shift point.
-	// The identity (zero value) selects frost/5 — fully deterministic per
-	// input, so replayed passes of the shifted stream are identical.
-	ShiftCorruption dataset.Corruption
-	// Tracer, when set, roots one span per generated request, which in
-	// turn makes the serving pipeline record its route and batch spans —
-	// the traced phase of the tracing-overhead benchmark. Nil generates
-	// untraced load.
-	Tracer *telemetry.Tracer
 }
 
-func (c LoadConfig) withDefaults() LoadConfig {
-	if c.Concurrency <= 0 {
-		c.Concurrency = 2 * runtime.GOMAXPROCS(0)
-	}
-	if c.Repeat <= 0 {
-		c.Repeat = 1
-	}
+// WithDefaults resolves the zero fields.
+func (c LoadConfig) WithDefaults() LoadConfig {
 	if c.SamplesPerParty <= 0 {
 		c.SamplesPerParty = 120
 	}
@@ -72,78 +28,7 @@ func (c LoadConfig) withDefaults() LoadConfig {
 	return c
 }
 
-// ErrSwapTooLate reports that the workload drained before the mid-load
-// swap could fire, so SwapMidLoad could not be honored: the run is too
-// short to serve as hot-swap-under-load evidence. Lengthen it (higher
-// Repeat or a MaxDuration) instead of trusting the artifact.
-var ErrSwapTooLate = errors.New("serve: load finished before the mid-load swap could fire")
-
-// ErrShiftTooLate is the ShiftAt analog of ErrSwapTooLate: the workload
-// drained before the injection point, so the run holds no post-shift
-// traffic and cannot serve as drift-detection evidence.
-var ErrShiftTooLate = errors.New("serve: load finished before the shift could be injected")
-
-// RegimeResult is one covariate regime's serving quality under load.
-type RegimeResult struct {
-	Regime           string
-	Requests         int
-	Correct          int
-	AssignedKnown    int // requests whose party has a recorded assignment
-	RoutedToAssigned int
-	Matched          int
-}
-
-// LoadResult aggregates one load-generation run.
-type LoadResult struct {
-	Requests uint64 // completed predictions
-	Errors   uint64
-	Rejected uint64
-	Duration time.Duration
-	LatencyP50, LatencyP90,
-	LatencyP99, LatencyMax time.Duration
-	Correct          uint64 // requests predicted correctly
-	RoutedToAssigned uint64 // requests routed to the party's trained expert
-	AssignedKnown    uint64 // requests whose party has a recorded assignment
-	Regimes          []RegimeResult
-	Server           MetricsSnapshot // server-side counters at run end
-
-	// Shift-injection record (ShiftAt runs only). ShiftAtRequest is the
-	// claimed-request watermark at the injection instant; ShiftTeedSamples
-	// is the monitor's cumulative teed-sample counter at the same instant —
-	// the zero point detection latency is measured from.
-	ShiftInjected    bool
-	ShiftAtRequest   uint64
-	ShiftTeedSamples uint64
-}
-
-// Throughput returns completed predictions per second.
-func (r *LoadResult) Throughput() float64 {
-	if r.Duration <= 0 {
-		return 0
-	}
-	return float64(r.Requests) / r.Duration.Seconds()
-}
-
-// Accuracy returns the fraction of completed predictions that were correct.
-func (r *LoadResult) Accuracy() float64 {
-	if r.Requests == 0 {
-		return 0
-	}
-	return float64(r.Correct) / float64(r.Requests)
-}
-
-// RoutingAccuracy returns the fraction of assignment-known requests routed
-// to the expert the training run assigned to the originating party.
-func (r *LoadResult) RoutingAccuracy() float64 {
-	if r.AssignedKnown == 0 {
-		return 0
-	}
-	return float64(r.RoutedToAssigned) / float64(r.AssignedKnown)
-}
-
-// WorkItem is one replayable request with its scoring ground truth. The
-// serve loadgen replays items in-process; the gateway loadgen replays the
-// same items over HTTP against a replica fleet.
+// WorkItem is one replayable request with its scoring ground truth.
 type WorkItem struct {
 	X        tensor.Vector
 	Y        int
@@ -159,7 +44,7 @@ type WorkItem struct {
 // the per-expert batcher (and, at the gateway, the worst case for
 // consistent-hash locality).
 func Workload(cp *service.Checkpoint, cfg LoadConfig) ([]WorkItem, error) {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	parties := len(cp.Aggregator.Assignment)
 	if parties == 0 {
 		return nil, errors.New("serve: checkpoint has no party assignments")
@@ -198,377 +83,4 @@ func Workload(cp *service.Checkpoint, cfg LoadConfig) ([]WorkItem, error) {
 		return nil, errors.New("serve: scenario window has no test examples")
 	}
 	return items, nil
-}
-
-// RunLoad replays the checkpoint's scenario stream against srv at the
-// configured rate and returns the aggregate result. srv must be serving a
-// snapshot built from cp (the workload and routing ground truth are
-// regenerated from the checkpoint's seed and assignment).
-func RunLoad(ctx context.Context, srv *Server, cp *service.Checkpoint, cfg LoadConfig) (*LoadResult, error) {
-	cfg = cfg.withDefaults()
-	items, err := Workload(cp, cfg)
-	if err != nil {
-		return nil, err
-	}
-	total := int64(len(items)) * int64(cfg.Repeat)
-
-	// Pre-transform the shifted replica of the stream so the injection is a
-	// flag flip, not per-request work: after the shift point workers index
-	// the shifted slice instead of the clean one.
-	var shifted []WorkItem
-	if cfg.ShiftAt > 0 {
-		if cfg.ShiftAt >= 1 {
-			return nil, fmt.Errorf("serve: -shift-at must be in (0,1), got %g", cfg.ShiftAt)
-		}
-		corr := cfg.ShiftCorruption
-		if corr.IsIdentity() {
-			corr = dataset.Corruption{Kind: dataset.CorruptFrost, Severity: 5}
-		}
-		srng := tensor.NewRNG(cp.Seed ^ 0xd21f7)
-		regime := "shifted:" + corr.String()
-		shifted = make([]WorkItem, len(items))
-		for i, it := range items {
-			it.X = corr.Apply(it.X, srng)
-			it.Regime = regime
-			shifted[i] = it
-		}
-	}
-
-	type tally struct {
-		requests, correct, known, routed, matched int
-	}
-	var (
-		next      atomic.Int64
-		requests  atomic.Uint64
-		errorsN   atomic.Uint64
-		rejected  atomic.Uint64
-		correct   atomic.Uint64
-		routedOK  atomic.Uint64
-		known     atomic.Uint64
-		wg        sync.WaitGroup
-		mu        sync.Mutex
-		regimes   = map[string]*tally{}
-		latencies = make([][]time.Duration, cfg.Concurrency)
-	)
-	start := time.Now()
-	deadline := time.Time{}
-	if cfg.MaxDuration > 0 {
-		deadline = start.Add(cfg.MaxDuration)
-	}
-	interval := time.Duration(0)
-	if cfg.TargetQPS > 0 {
-		interval = time.Duration(float64(time.Second) / cfg.TargetQPS)
-	}
-
-	// Optional mid-load hot swap, triggered off the shared work counter so
-	// it genuinely lands while clients are issuing requests: the snapshot
-	// is pre-built, then swapped the moment half the stream has been
-	// claimed (or half the time budget has elapsed, whichever comes
-	// first — the counter alone never crosses half when a deadline cuts a
-	// huge Repeat short).
-	swapDone := make(chan error, 1)
-	if cfg.SwapMidLoad {
-		go func() {
-			snap, err := SnapshotFromCheckpoint(cp)
-			if err != nil {
-				swapDone <- err
-				return
-			}
-			halfTime := time.Time{}
-			if cfg.MaxDuration > 0 {
-				halfTime = start.Add(cfg.MaxDuration / 2)
-			}
-			for next.Load() < total/2 && (halfTime.IsZero() || time.Now().Before(halfTime)) {
-				if ctx.Err() != nil {
-					swapDone <- nil
-					return
-				}
-				time.Sleep(200 * time.Microsecond)
-			}
-			if ctx.Err() == nil && next.Load() >= total {
-				// Every request has already been claimed: swapping now
-				// would land on an idle server, and the artifact would
-				// falsely present it as zero-drop-under-load evidence.
-				swapDone <- ErrSwapTooLate
-				return
-			}
-			swapDone <- srv.Swap(snap)
-		}()
-	}
-
-	// Shift watcher: flips the regime the moment the injection point passes
-	// and records the watermarks detection latency is measured against. The
-	// flip is a single atomic the request loop reads — injection costs the
-	// hot path nothing until it fires, and one load afterwards.
-	var (
-		shiftOn      atomic.Bool
-		shiftClaimed uint64
-		shiftTeed    uint64
-	)
-	shiftDone := make(chan struct{})
-	if shifted != nil {
-		go func() {
-			defer close(shiftDone)
-			if cfg.MaxDuration > 0 {
-				at := start.Add(time.Duration(cfg.ShiftAt * float64(cfg.MaxDuration)))
-				for time.Now().Before(at) {
-					if ctx.Err() != nil || next.Load() >= total {
-						return
-					}
-					time.Sleep(200 * time.Microsecond)
-				}
-			} else {
-				at := int64(cfg.ShiftAt * float64(total))
-				for next.Load() < at {
-					if ctx.Err() != nil {
-						return
-					}
-					time.Sleep(200 * time.Microsecond)
-				}
-			}
-			if next.Load() >= total {
-				return // drained before the injection point: too late
-			}
-			shiftClaimed = uint64(next.Load())
-			if mon := srv.cfg.Monitor; mon != nil {
-				shiftTeed = mon.Teed()
-			}
-			shiftOn.Store(true)
-		}()
-	} else {
-		close(shiftDone)
-	}
-
-	// Requests are issued with an uncancellable context: the client loop
-	// checks ctx between iterations, so cancellation still lands within one
-	// request (microseconds), and predictAt's result wait can take the
-	// plain channel receive instead of selectgo — measurably cheaper at
-	// batched-pipeline throughput.
-	reqCtx := context.Background()
-	for w := 0; w < cfg.Concurrency; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			local := map[string]*tally{}
-			var lats []time.Duration
-			// root is reused across iterations: End copies the record
-			// into the tracer's ring, so the traced path allocates
-			// nothing per request.
-			var root telemetry.Span
-			// The deadline is checked against the previous iteration's
-			// completion instant (t0 + lat) instead of a fresh clock
-			// read: at batched-pipeline throughput an extra time.Now
-			// per request is a measurable tax, and the deadline only
-			// needs request-granularity precision anyway.
-			var now time.Time
-			for {
-				i := next.Add(1) - 1
-				if i >= total {
-					break
-				}
-				if ctx.Err() != nil {
-					break
-				}
-				if !deadline.IsZero() && !now.IsZero() && now.After(deadline) {
-					break
-				}
-				if interval > 0 {
-					sched := start.Add(time.Duration(i) * interval)
-					if d := time.Until(sched); d > 0 {
-						time.Sleep(d)
-					}
-				}
-				item := items[i%int64(len(items))]
-				if shifted != nil && shiftOn.Load() {
-					item = shifted[i%int64(len(items))]
-				}
-				t0 := time.Now()
-				// The root span rides the timestamps the load generator
-				// takes anyway (t0 and the latency measurement), so the
-				// traced phase adds no clock reads here; PredictSpan
-				// takes the parent explicitly to skip a per-request
-				// context allocation.
-				cfg.Tracer.BeginAt(&root, "loadgen.predict", telemetry.SpanContext{}, t0)
-				res, err := srv.predictAt(reqCtx, item.X, &root, t0)
-				lat := time.Since(t0)
-				now = t0.Add(lat)
-				if cfg.Tracer != nil {
-					root.SetError(err)
-					root.EndAt(t0.Add(lat))
-				}
-				switch {
-				case errors.Is(err, ErrOverloaded):
-					rejected.Add(1)
-					continue
-				case err != nil:
-					errorsN.Add(1)
-					continue
-				}
-				lats = append(lats, lat)
-				requests.Add(1)
-				tl := local[item.Regime]
-				if tl == nil {
-					tl = &tally{}
-					local[item.Regime] = tl
-				}
-				tl.requests++
-				if res.Class == item.Y {
-					correct.Add(1)
-					tl.correct++
-				}
-				if res.Matched {
-					tl.matched++
-				}
-				if item.Assigned >= 0 {
-					known.Add(1)
-					tl.known++
-					if res.Expert == item.Assigned {
-						routedOK.Add(1)
-						tl.routed++
-					}
-				}
-			}
-			mu.Lock()
-			for k, v := range local {
-				g := regimes[k]
-				if g == nil {
-					g = &tally{}
-					regimes[k] = g
-				}
-				g.requests += v.requests
-				g.correct += v.correct
-				g.known += v.known
-				g.routed += v.routed
-				g.matched += v.matched
-			}
-			latencies[w] = lats
-			mu.Unlock()
-		}(w)
-	}
-	wg.Wait()
-	// Duration is the load window itself; waiting out the swap goroutine
-	// below must not count, or throughput would read deflated.
-	elapsed := time.Since(start)
-	if cfg.SwapMidLoad {
-		if err := <-swapDone; err != nil {
-			return nil, fmt.Errorf("serve: mid-load swap: %w", err)
-		}
-	}
-	<-shiftDone
-	if shifted != nil && !shiftOn.Load() {
-		if ctx.Err() == nil {
-			return nil, ErrShiftTooLate
-		}
-	}
-
-	out := &LoadResult{
-		Requests:         requests.Load(),
-		Errors:           errorsN.Load(),
-		Rejected:         rejected.Load(),
-		Duration:         elapsed,
-		Correct:          correct.Load(),
-		RoutedToAssigned: routedOK.Load(),
-		AssignedKnown:    known.Load(),
-		Server:           srv.Metrics().Snapshot(),
-		ShiftInjected:    shiftOn.Load(),
-		ShiftAtRequest:   shiftClaimed,
-		ShiftTeedSamples: shiftTeed,
-	}
-	var all []time.Duration
-	for _, l := range latencies {
-		all = append(all, l...)
-	}
-	if len(all) > 0 {
-		sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-		q := func(p float64) time.Duration {
-			i := int(p * float64(len(all)))
-			if i >= len(all) {
-				i = len(all) - 1
-			}
-			return all[i]
-		}
-		out.LatencyP50, out.LatencyP90, out.LatencyP99 = q(0.50), q(0.90), q(0.99)
-		out.LatencyMax = all[len(all)-1]
-	}
-	names := make([]string, 0, len(regimes))
-	for k := range regimes {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	for _, k := range names {
-		t := regimes[k]
-		out.Regimes = append(out.Regimes, RegimeResult{
-			Regime: k, Requests: t.requests, Correct: t.correct,
-			AssignedKnown: t.known, RoutedToAssigned: t.routed, Matched: t.matched,
-		})
-	}
-	return out, nil
-}
-
-// Artifact converts a load result into the versioned BENCH_serving.json
-// form, recording the protocol that produced it. A run with the route
-// cache disabled (CacheSize < 0) is a cold-traffic run and takes the
-// "serving-cold" name — it lands in BENCH_serving-cold.json and carries
-// the coldTraffic option flag, so the honest no-cache number can never be
-// mistaken for the warm one.
-func (r *LoadResult) Artifact(cp *service.Checkpoint, cfg LoadConfig, srvCfg Config) *experiments.ServingArtifact {
-	cfg = cfg.withDefaults()
-	srvCfg = srvCfg.withDefaults()
-	cold := srvCfg.CacheSize < 0
-	name := experiments.ServingArtifactName
-	if cold {
-		name = experiments.ServingColdArtifactName
-	}
-	ms := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1e3 }
-	a := &experiments.ServingArtifact{
-		Schema: experiments.ServingSchemaVersion,
-		Name:   name,
-		Options: experiments.ServingOptions{
-			CheckpointWindows: cp.WindowsDone,
-			Parties:           len(cp.Aggregator.Assignment),
-			SamplesPerParty:   cfg.SamplesPerParty,
-			TestPerParty:      cfg.TestPerParty,
-			Seed:              cp.Seed,
-			TargetQPS:         cfg.TargetQPS,
-			Concurrency:       cfg.Concurrency,
-			Repeat:            cfg.Repeat,
-			Workers:           srvCfg.Workers,
-			MaxBatch:          srvCfg.MaxBatch,
-			MaxDelayMs:        ms(srvCfg.MaxDelay),
-			CacheSize:         srvCfg.CacheSize,
-			RouteEpsilonScale: srvCfg.RouteEpsilonScale,
-			SwapMidLoad:       cfg.SwapMidLoad,
-			ColdTraffic:       cold,
-		},
-		Requests:         r.Requests,
-		Errors:           r.Errors,
-		Rejected:         r.Rejected,
-		DurationMs:       ms(r.Duration),
-		ThroughputPerSec: r.Throughput(),
-		LatencyMsP50:     ms(r.LatencyP50),
-		LatencyMsP90:     ms(r.LatencyP90),
-		LatencyMsP99:     ms(r.LatencyP99),
-		LatencyMsMax:     ms(r.LatencyMax),
-		Accuracy:         r.Accuracy(),
-		RoutedToAssigned: r.RoutingAccuracy(),
-		Swaps:            r.Server.Swaps,
-		MeanBatch:        r.Server.MeanBatch,
-	}
-	if hits, misses := r.Server.CacheHits, r.Server.CacheMisses; hits+misses > 0 {
-		a.CacheHitRate = float64(hits) / float64(hits+misses)
-	}
-	for _, g := range r.Regimes {
-		reg := experiments.ServingRegime{Regime: g.Regime, Requests: g.Requests}
-		if g.Requests > 0 {
-			reg.Accuracy = float64(g.Correct) / float64(g.Requests)
-			reg.MatchedFraction = float64(g.Matched) / float64(g.Requests)
-		}
-		// Same denominator as the aggregate RoutingAccuracy: only the
-		// requests whose party has a recorded assignment.
-		if g.AssignedKnown > 0 {
-			reg.RoutedToAssigned = float64(g.RoutedToAssigned) / float64(g.AssignedKnown)
-		}
-		a.Regimes = append(a.Regimes, reg)
-	}
-	return a
 }

@@ -2,162 +2,33 @@ package serve
 
 import (
 	"context"
-	"errors"
 	"testing"
-	"time"
 
-	"repro/internal/experiments"
+	"repro/internal/service"
 )
 
 // tinyLoadConfig matches the scenario shape checkpoint_tiny.json was
 // trained with (see EXPERIMENTS.md "Serving benchmark" for the recipe).
 func tinyLoadConfig() LoadConfig {
-	return LoadConfig{SamplesPerParty: 40, TestPerParty: 20, Concurrency: 4, Repeat: 2}
+	return LoadConfig{SamplesPerParty: 40, TestPerParty: 20}
 }
 
-func TestRunLoadAgainstTinyCheckpoint(t *testing.T) {
-	cp, snap := loadTiny(t)
-	srv, err := NewServer(snap, Config{Workers: 2, MaxDelay: 500 * time.Microsecond})
+// replay serves the checkpoint's scenario stream passes times, in order,
+// and returns how many predictions completed.
+func replay(t *testing.T, srv *Server, cp *service.Checkpoint, passes int) uint64 {
+	t.Helper()
+	items, err := Workload(cp, tinyLoadConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
-
-	cfg := tinyLoadConfig()
-	res, err := RunLoad(context.Background(), srv, cp, cfg)
-	if err != nil {
-		t.Fatal(err)
+	for pass := 0; pass < passes; pass++ {
+		for _, it := range items {
+			if _, err := srv.Predict(context.Background(), it.X); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	wantTotal := uint64(len(cp.Aggregator.Assignment) * cfg.TestPerParty * cfg.Repeat)
-	if res.Requests+res.Rejected+res.Errors != wantTotal {
-		t.Fatalf("accounted %d requests, want %d", res.Requests+res.Rejected+res.Errors, wantTotal)
-	}
-	if res.Errors != 0 {
-		t.Fatalf("%d requests errored", res.Errors)
-	}
-	if res.Requests == 0 || res.Duration <= 0 {
-		t.Fatal("no load was generated")
-	}
-	// The snapshot was trained on this distribution; it must beat chance
-	// (10 classes) comfortably.
-	if acc := res.Accuracy(); acc < 0.2 {
-		t.Fatalf("serving accuracy %.3f, want >= 0.2", acc)
-	}
-	if res.AssignedKnown == 0 {
-		t.Fatal("no request had routing ground truth")
-	}
-	if len(res.Regimes) == 0 {
-		t.Fatal("no per-regime breakdown")
-	}
-	var regimeReqs, regimeKnown int
-	for _, g := range res.Regimes {
-		regimeReqs += g.Requests
-		regimeKnown += g.AssignedKnown
-	}
-	if uint64(regimeReqs) != res.Requests {
-		t.Fatalf("regime breakdown covers %d of %d requests", regimeReqs, res.Requests)
-	}
-	// The per-regime AssignedKnown tallies must add up to the aggregate —
-	// they used to be dropped in the worker merge, which zeroed every
-	// regime's routedToAssigned in the committed artifact.
-	if uint64(regimeKnown) != res.AssignedKnown {
-		t.Fatalf("regime AssignedKnown sums to %d, aggregate is %d", regimeKnown, res.AssignedKnown)
-	}
-	// Second pass over the same stream must have hit the route cache.
-	if res.Server.CacheHits == 0 {
-		t.Fatal("repeat pass produced no cache hits")
-	}
-	if res.LatencyP99 < res.LatencyP50 || res.LatencyMax < res.LatencyP99 {
-		t.Fatalf("latency quantiles disordered: p50=%v p99=%v max=%v", res.LatencyP50, res.LatencyP99, res.LatencyMax)
-	}
-}
-
-func TestRunLoadSwapMidLoadDropsNothing(t *testing.T) {
-	cp, snap := loadTiny(t)
-	srv, err := NewServer(snap, Config{Workers: 2, MaxDelay: 500 * time.Microsecond, QueueDepth: 1 << 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	cfg := tinyLoadConfig()
-	cfg.SwapMidLoad = true
-	cfg.Repeat = 1 << 20 // effectively unbounded; the deadline ends the run
-	cfg.MaxDuration = 400 * time.Millisecond
-	res, err := RunLoad(context.Background(), srv, cp, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Errors != 0 {
-		t.Fatalf("%d requests errored across the swap", res.Errors)
-	}
-	if res.Server.Swaps != 1 {
-		t.Fatalf("swaps=%d, want exactly 1", res.Server.Swaps)
-	}
-	if res.Requests == 0 {
-		t.Fatal("no load was generated")
-	}
-}
-
-func TestLoadResultArtifact(t *testing.T) {
-	cp, snap := loadTiny(t)
-	srv, err := NewServer(snap, Config{Workers: 2, MaxDelay: 500 * time.Microsecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	cfg := tinyLoadConfig()
-	res, err := RunLoad(context.Background(), srv, cp, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := res.Artifact(cp, cfg, Config{Workers: 2, MaxDelay: 500 * time.Microsecond})
-	if err := a.Validate(); err != nil {
-		t.Fatalf("artifact invalid: %v", err)
-	}
-	if a.ThroughputPerSec <= 0 || a.Requests != res.Requests {
-		t.Fatal("artifact does not reflect the run")
-	}
-	if a.Options.Seed != cp.Seed || a.Options.CheckpointWindows != cp.WindowsDone {
-		t.Fatal("artifact options do not pin the checkpoint protocol")
-	}
-	if a.Name != experiments.ServingArtifactName || a.Options.ColdTraffic {
-		t.Fatalf("cache-enabled run must produce the warm artifact, got %q cold=%v", a.Name, a.Options.ColdTraffic)
-	}
-}
-
-// TestLoadResultArtifactCold pins the cold-traffic artifact contract: a run
-// with the cache disabled names itself "serving-cold", carries the
-// coldTraffic flag, and still validates.
-func TestLoadResultArtifactCold(t *testing.T) {
-	cp, snap := loadTiny(t)
-	srvCfg := Config{Workers: 2, MaxDelay: 500 * time.Microsecond, CacheSize: -1}
-	srv, err := NewServer(snap, srvCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	cfg := tinyLoadConfig()
-	res, err := RunLoad(context.Background(), srv, cp, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := res.Artifact(cp, cfg, srvCfg)
-	if a.Name != experiments.ServingColdArtifactName || !a.Options.ColdTraffic {
-		t.Fatalf("cold run artifact = %q cold=%v", a.Name, a.Options.ColdTraffic)
-	}
-	if err := a.Validate(); err != nil {
-		t.Fatalf("cold artifact invalid: %v", err)
-	}
-	if a.CacheHitRate != 0 {
-		t.Fatalf("cold run reports cacheHitRate %g, want 0", a.CacheHitRate)
-	}
-	if res.Server.CacheBypass != res.Server.Requests {
-		t.Fatalf("bypass=%d requests=%d, every cold request must bypass the cache",
-			res.Server.CacheBypass, res.Server.Requests)
-	}
+	return uint64(passes * len(items))
 }
 
 func TestBuildWorkloadRejectsEmptyAssignment(t *testing.T) {
@@ -165,39 +36,5 @@ func TestBuildWorkloadRejectsEmptyAssignment(t *testing.T) {
 	cp.Aggregator.Assignment = nil
 	if _, err := Workload(cp, tinyLoadConfig()); err == nil {
 		t.Fatal("empty assignment must be rejected")
-	}
-}
-
-// TestRunLoadSwapTooLateNeverLies pins the SwapMidLoad contract on a run
-// so short the swap usually cannot land in time: the outcome must be
-// either a loud ErrSwapTooLate (no swap happened) or a successful run
-// whose metrics record exactly one swap — never a success that silently
-// skipped the swap, and never an idle-server swap presented as evidence.
-func TestRunLoadSwapTooLateNeverLies(t *testing.T) {
-	cp, snap := loadTiny(t)
-	srv, err := NewServer(snap, Config{Workers: 2, MaxDelay: 500 * time.Microsecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	cfg := tinyLoadConfig()
-	cfg.SwapMidLoad = true
-	// 8 requests (one per party), typically drained before the swap's
-	// checkpoint rebuild reaches the halfway mark; scheduling decides.
-	cfg.Repeat = 1
-	cfg.TestPerParty = 1
-	res, err := RunLoad(context.Background(), srv, cp, cfg)
-	switch {
-	case errors.Is(err, ErrSwapTooLate):
-		if got := srv.Metrics().Snapshot().Swaps; got != 0 {
-			t.Fatalf("ErrSwapTooLate but %d swaps recorded", got)
-		}
-	case err == nil:
-		if res.Server.Swaps != 1 {
-			t.Fatalf("swap-mid-load run succeeded with %d swaps, want 1", res.Server.Swaps)
-		}
-	default:
-		t.Fatal(err)
 	}
 }

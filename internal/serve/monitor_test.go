@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -80,73 +79,6 @@ func TestRouteBatchZeroAllocWithMonitor(t *testing.T) {
 	}
 }
 
-// TestServerMonitorDetectsInjectedShift drives the full plane end to end:
-// cold traffic through the batched pipeline tees into the monitor, a
-// frost/5 regime change is injected mid-stream, and the drift score must
-// cross the threshold after — and only after — the injection watermark.
-func TestServerMonitorDetectsInjectedShift(t *testing.T) {
-	cp, snap := loadTiny(t)
-	mon := monitor.New(tinyMonitorConfig())
-	defer mon.Close()
-	srv, err := NewServer(snap, Config{
-		Workers:   2,
-		MaxDelay:  500 * time.Microsecond,
-		CacheSize: -1,
-		Monitor:   mon,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	cfg := tinyLoadConfig()
-	// 64 000 requests, ~0.2 s: RunLoad injects the shift from a goroutine that
-	// polls the request counter between sleeps, and on two busy threads it
-	// can oversleep a 6 400-request run (20 ms) past the end.
-	cfg.Repeat = 400
-	cfg.ShiftAt = 0.5
-	res, err := RunLoad(context.Background(), srv, cp, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.ShiftInjected {
-		t.Fatal("shift was not injected")
-	}
-	mon.Flush()
-	sum := mon.Summary()
-	if !sum.Calibrated {
-		t.Fatalf("monitor never calibrated: %s", sum.CalibrationError)
-	}
-	if sum.Samples == 0 || sum.Evals == 0 {
-		t.Fatalf("monitor idle: samples=%d evals=%d", sum.Samples, sum.Evals)
-	}
-	var detectedAt uint64
-	for _, ev := range mon.Evaluations(0, -1) {
-		if ev.Err != "" {
-			t.Fatalf("evaluation error: %s", ev.Err)
-		}
-		if !ev.Crossed {
-			continue
-		}
-		// The watermark is in the tee clock; ev.TeedAt is the evaluation's
-		// position in the same clock (ev.Samples, the folded count, lags it
-		// when backpressure drops samples).
-		if ev.TeedAt <= res.ShiftTeedSamples {
-			t.Fatalf("false positive: crossing teed at %d, shift watermark %d (score %.3f)",
-				ev.TeedAt, res.ShiftTeedSamples, ev.Score)
-		}
-		if detectedAt == 0 {
-			detectedAt = ev.TeedAt
-		}
-	}
-	if detectedAt == 0 {
-		t.Fatalf("injected shift never detected: max summary score %.3f, threshold %.3f, %d evals",
-			sum.Score, sum.Threshold, sum.Evals)
-	}
-	t.Logf("detected at sample %d, watermark %d (latency %d samples)",
-		detectedAt, res.ShiftTeedSamples, detectedAt-res.ShiftTeedSamples)
-}
-
 // TestDriftEndpointThroughServer asserts /v1/debug/drift is wired into the
 // serving mux and speaks the DriftState schema, both with and without a
 // monitor configured.
@@ -162,11 +94,7 @@ func TestDriftEndpointThroughServer(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	cfg := tinyLoadConfig()
-	cfg.Repeat = 4
-	if _, err := RunLoad(context.Background(), srv, cp, cfg); err != nil {
-		t.Fatal(err)
-	}
+	replay(t, srv, cp, 4)
 	mon.Flush()
 
 	resp, err := http.Get(ts.URL + "/v1/debug/drift")
@@ -235,11 +163,7 @@ func TestExpertRequestCounters(t *testing.T) {
 	}
 	defer srv.Close()
 
-	cfg := tinyLoadConfig()
-	res, err := RunLoad(context.Background(), srv, cp, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	served := replay(t, srv, cp, 2)
 	ids, counts := srv.Metrics().ExpertRequests()
 	if len(ids) != srv.Snapshot().NumExperts() {
 		t.Fatalf("%d counters for %d experts", len(ids), srv.Snapshot().NumExperts())
@@ -248,8 +172,8 @@ func TestExpertRequestCounters(t *testing.T) {
 	for _, c := range counts {
 		total += c
 	}
-	if total != res.Requests {
-		t.Fatalf("expert counters sum to %d, served %d", total, res.Requests)
+	if total != served {
+		t.Fatalf("expert counters sum to %d, served %d", total, served)
 	}
 
 	if err := srv.Swap(snap2(t, cp)); err != nil {

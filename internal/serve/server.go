@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"flag"
 	"fmt"
 	"runtime"
 	"slices"
@@ -63,6 +64,17 @@ type Config struct {
 	// snapshot's latent memories on adoption and on every hot swap. Nil
 	// disables monitoring.
 	Monitor *monitor.Monitor
+}
+
+// BindFlags registers the pipeline's tuning flags on fs; parsing fs fills c.
+// Every command that builds a Server binds the same names and defaults.
+func (c *Config) BindFlags(fs *flag.FlagSet) {
+	fs.IntVar(&c.Workers, "workers", 0, "prediction workers (0 = one per core)")
+	fs.IntVar(&c.MaxBatch, "max-batch", 32, "flush an expert's queue at this many requests")
+	fs.DurationVar(&c.MaxDelay, "max-delay", 2*time.Millisecond, "flush an expert's queue when its oldest request has waited this long")
+	fs.IntVar(&c.QueueDepth, "queue", 4096, "admission bound; requests beyond it are rejected with 503")
+	fs.IntVar(&c.CacheSize, "cache", 4096, "LRU route-cache entries (negative = disable)")
+	fs.Float64Var(&c.RouteEpsilonScale, "route-eps-scale", 4, "set the EFFECTIVE match radius to calibrated ε × this scale (single-request embeddings are noisier than the window means ε was calibrated on; negative = use ε unscaled; the resulting radius is visible as routeEpsilon on /v1/snapshot and as shiftex_serve_route_epsilon / shiftex_serve_expert_route_epsilon on /v1/metrics)")
 }
 
 func (c Config) withDefaults() Config {
@@ -269,6 +281,9 @@ func NewServer(snap *Snapshot, cfg Config) (*Server, error) {
 // Snapshot returns the currently serving snapshot.
 func (s *Server) Snapshot() *Snapshot { return s.snap.Load() }
 
+// Config returns the configuration in effect, defaults resolved.
+func (s *Server) Config() Config { return s.cfg }
+
 // Metrics exposes the serving counters.
 func (s *Server) Metrics() *Metrics { return s.metrics }
 
@@ -317,23 +332,17 @@ func sameArch(a, b []int) bool { return slices.Equal(a, b) }
 // and wait for the worker's prediction. It returns ErrOverloaded without
 // queueing when the pipeline is saturated and ErrClosed after Close.
 func (s *Server) Predict(ctx context.Context, x tensor.Vector) (Result, error) {
-	return s.PredictSpan(ctx, x, telemetry.SpanFromContext(ctx))
+	return s.PredictSpan(ctx, x, telemetry.SpanFromContext(ctx), time.Time{})
 }
 
-// PredictSpan is Predict with the parent span passed explicitly, for
-// callers (the in-process load generator) that already hold it —
-// skipping the context.WithValue allocation Predict would need to
-// carry the span. A nil parent serves the request untraced.
-func (s *Server) PredictSpan(ctx context.Context, x tensor.Vector, parent *telemetry.Span) (Result, error) {
-	return s.predictAt(ctx, x, parent, time.Time{})
-}
-
-// predictAt is the pipeline entry with the request-start instant supplied
-// by the caller — the in-process load generator already reads the clock for
-// its own latency measurement, and at batched throughput a second read per
-// request is a measurable tax. A zero start is read fresh after the
-// fast-fail checks (so refused requests never pay for it).
-func (s *Server) predictAt(ctx context.Context, x tensor.Vector, parent *telemetry.Span, start time.Time) (Result, error) {
+// PredictSpan is Predict for callers that already hold the parent span and
+// the request-start instant (the load generator reads the clock for its own
+// latency measurement): it skips the context.WithValue allocation Predict
+// would need to carry the span, and at batched throughput a second clock
+// read per request is a measurable tax. A nil parent serves the request
+// untraced; a zero start is read fresh after the fast-fail checks (so
+// refused requests never pay for it).
+func (s *Server) PredictSpan(ctx context.Context, x tensor.Vector, parent *telemetry.Span, start time.Time) (Result, error) {
 	snap := s.snap.Load()
 	if len(x) != snap.InputDim() {
 		s.metrics.errored.Add(1)

@@ -41,8 +41,8 @@ fail() {
     exit 1
 }
 
-echo "== building shiftex-serve and shiftex-gateway"
-go build -o "$BIN" ./cmd/shiftex-serve ./cmd/shiftex-gateway
+echo "== building shiftex-serve, shiftex-gateway and shiftex-bench"
+go build -o "$BIN" ./cmd/shiftex-serve ./cmd/shiftex-gateway ./cmd/shiftex-bench
 
 echo "== starting 2 models x 2 replicas from $CKPT"
 start_replica() { # model addr logname -> pid
@@ -93,14 +93,14 @@ for i in $(seq 1 50); do
 done
 
 echo "== load generation: both models, SIGKILL replica $A2_ADDR at 50%"
-"$BIN/shiftex-gateway" -loadgen -checkpoint "$CKPT" -url "http://$GW_ADDR" \
+"$BIN/shiftex-bench" gateway-load -checkpoint "$CKPT" -url "http://$GW_ADDR" \
     -samples "$SAMPLES" -test "$TEST" -models fmow-a,fmow-b \
     -repeat 200 -concurrency 8 -token "$TOKEN" \
     -kill-pid "$A2_PID" -kill-at 0.5 \
     -json . || fail "load generation failed"
 
 echo "== artifact gate (zero dropped requests, affinity >= 0.9)"
-"$BIN/shiftex-gateway" -check BENCH_gateway.json -min-affinity 0.9 \
+"$BIN/shiftex-bench" check BENCH_gateway.json -min-affinity 0.9 \
     || fail "gateway artifact did not validate"
 
 echo "BENCH OK: wrote BENCH_gateway.json"

@@ -6,7 +6,8 @@
 # 401, bearer-token predict is 200 end-to-end), the deprecated unversioned
 # alias still answers with a Deprecation header, and a misspelled
 # middleware name fails startup listing the available set. Then SIGKILL
-# one replica mid-loadgen and gate the BENCH_gateway.json artifact on
+# one replica mid-load (`shiftex-bench gateway-load`) and gate the
+# BENCH_gateway.json artifact (`shiftex-bench check`) on
 # zero dropped requests and >=90% consistent-hash affinity retention.
 # Finally assert distributed tracing end to end: a request carrying a
 # known traceparent must surface spans under that trace ID on BOTH tiers
@@ -49,8 +50,8 @@ fail() {
     exit 1
 }
 
-echo "== building shiftex-serve and shiftex-gateway"
-go build -o "$BIN" ./cmd/shiftex-serve ./cmd/shiftex-gateway
+echo "== building shiftex-serve, shiftex-gateway and shiftex-bench"
+go build -o "$BIN" ./cmd/shiftex-serve ./cmd/shiftex-gateway ./cmd/shiftex-bench
 
 echo "== starting two serve replicas from $CKPT"
 "$BIN/shiftex-serve" -checkpoint "$CKPT" -http "$REP1_ADDR" >"$LOG/replica1.log" 2>&1 &
@@ -131,7 +132,7 @@ grep -q 'unknown middleware "authz"' "$WORKDIR/bad.out" || fail "startup error d
 grep -q 'available:' "$WORKDIR/bad.out" || fail "startup error does not list the available middlewares: $(cat "$WORKDIR/bad.out")"
 
 echo "== load generation with a mid-load replica SIGKILL"
-"$BIN/shiftex-gateway" -loadgen -checkpoint "$CKPT" -url "http://$GW_ADDR" \
+"$BIN/shiftex-bench" gateway-load -checkpoint "$CKPT" -url "http://$GW_ADDR" \
     -samples "$SAMPLES" -test "$TEST" -repeat 40 -concurrency 8 \
     -token "$TOKEN" -kill-pid "$REP2_PID" -kill-at 0.5 \
     -json "$WORKDIR" >"$LOG/loadgen.log" 2>&1 \
@@ -139,7 +140,7 @@ echo "== load generation with a mid-load replica SIGKILL"
 cat "$LOG/loadgen.log"
 
 echo "== artifact gate (zero dropped requests, affinity >= 0.9)"
-"$BIN/shiftex-gateway" -check "$WORKDIR/BENCH_gateway.json" -min-affinity 0.9 \
+"$BIN/shiftex-bench" check "$WORKDIR/BENCH_gateway.json" -min-affinity 0.9 \
     || fail "gateway artifact did not validate"
 
 echo "== distributed trace crosses both tiers"

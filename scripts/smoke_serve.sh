@@ -1,17 +1,18 @@
 #!/usr/bin/env bash
 # Serving-tier smoke: start shiftex-serve from the committed tiny
 # checkpoint, assert /predict and /healthz answer 200, hot-swap the
-# snapshot over HTTP, verify graceful SIGTERM drain, then run the load
-# generator for ~2 seconds and assert the BENCH_serving.json artifact
-# parses and clears the 10k predictions/sec floor. A second, cold-traffic
-# loadgen pass (route cache disabled) regenerates BENCH_serving-cold.json
-# and additionally gates on the mean micro-batch size — proof that the
-# batched GEMM pipeline engages when every request pays the full routing
-# path. A final closed-loop pass runs -adaptbench: the continual
-# controller must detect an injected shift, train new experts from the
-# live sketches, and hot-swap with zero dropped requests, gated with
-# -check-adapt. CI runs this on every commit; it is also runnable
-# locally: ./scripts/smoke_serve.sh
+# snapshot over HTTP, verify graceful SIGTERM drain, then run
+# `shiftex-bench serve-load` for ~2 seconds and assert the
+# BENCH_serving.json artifact parses and clears the 10k predictions/sec
+# floor. A second, cold-traffic pass (route cache disabled) regenerates
+# BENCH_serving-cold.json and additionally gates on the mean micro-batch
+# size — proof that the batched GEMM pipeline engages when every request
+# pays the full routing path. A final closed-loop pass runs
+# `shiftex-bench adapt-live`: the continual controller must detect an
+# injected shift, train new experts from the live sketches, and hot-swap
+# with zero dropped requests. Every artifact, fresh or committed, goes
+# through the one `shiftex-bench check`. CI runs this on every commit; it
+# is also runnable locally: ./scripts/smoke_serve.sh
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -40,8 +41,8 @@ fail() {
     exit 1
 }
 
-echo "== building shiftex-serve"
-go build -o "$BIN" ./cmd/shiftex-serve
+echo "== building shiftex-serve and shiftex-bench"
+go build -o "$BIN" ./cmd/shiftex-serve ./cmd/shiftex-bench
 
 echo "== starting the serving daemon from $CKPT"
 "$BIN/shiftex-serve" -checkpoint "$CKPT" -http "$HTTP_ADDR" \
@@ -92,23 +93,23 @@ grep -q "drained:" "$LOG/serve.log" || fail "daemon exited without draining"
 [ -s "$WORKDIR/final_metrics.json" ] || fail "final metrics snapshot missing"
 
 echo "== load generation (~2s, mid-load hot swap)"
-"$BIN/shiftex-serve" -checkpoint "$CKPT" -loadgen \
+"$BIN/shiftex-bench" serve-load -checkpoint "$CKPT" \
     -samples "$SAMPLES" -test "$TEST" -repeat 1000000 -duration 2s \
     -concurrency 8 -swap-mid-load -json "$WORKDIR" >"$LOG/serve.log" 2>&1 \
     || fail "load generation failed"
 
 echo "== artifact gate (parses, zero errors, >=10k predictions/sec)"
-"$BIN/shiftex-serve" -check "$WORKDIR/BENCH_serving.json" -min-throughput 10000 \
+"$BIN/shiftex-bench" check "$WORKDIR/BENCH_serving.json" -min-throughput 10000 \
     || fail "serving artifact did not validate"
 
 echo "== cold-traffic load generation (~2s, route cache disabled)"
-"$BIN/shiftex-serve" -checkpoint "$CKPT" -loadgen -cold \
+"$BIN/shiftex-bench" serve-load -checkpoint "$CKPT" -cold \
     -samples "$SAMPLES" -test "$TEST" -repeat 1000000 -duration 2s \
     -concurrency 32 -json "$WORKDIR" >"$LOG/serve.log" 2>&1 \
     || fail "cold load generation failed"
 
 echo "== cold artifact gate (>=10k predictions/sec, mean batch >= 2, vs committed baseline)"
-"$BIN/shiftex-serve" -check "$WORKDIR/BENCH_serving-cold.json" \
+"$BIN/shiftex-bench" check "$WORKDIR/BENCH_serving-cold.json" \
     -min-throughput 10000 -min-mean-batch 2 -against BENCH_serving-cold.json \
     || fail "cold serving artifact did not validate"
 
@@ -116,7 +117,7 @@ echo "== drift detection under an injected shift (~2s, cold, frost/5 at 50%)"
 # Cold traffic because route-cache hits skip embedding and are invisible to
 # the monitor; baseline/window of 160 cover the scenario's 8×20-item replay
 # cycle (a shorter window reads clean traffic as drift).
-"$BIN/shiftex-serve" -checkpoint "$CKPT" -loadgen -cold \
+"$BIN/shiftex-bench" serve-load -checkpoint "$CKPT" -cold \
     -samples "$SAMPLES" -test "$TEST" -repeat 1000000 -duration 2s \
     -concurrency 8 -shift-at 0.5 \
     -monitor-baseline 160 -monitor-window 160 -monitor-eval-every 1024 \
@@ -126,7 +127,7 @@ grep -q "drift detected:" "$LOG/serve.log" \
     || fail "injected shift was not detected: $(grep drift "$LOG/serve.log" || true)"
 
 echo "== committed drift artifact gate (detected, no false positives, overhead <= 3%)"
-"$BIN/shiftex-serve" -check-drift BENCH_drift.json \
+"$BIN/shiftex-bench" check BENCH_drift.json \
     || fail "committed drift artifact did not validate"
 
 echo "== closed-loop adaptation (detect -> train from live sketches -> hot swap)"
@@ -134,7 +135,7 @@ echo "== closed-loop adaptation (detect -> train from live sketches -> hot swap)
 # window completes, snapshot hot-swaps with zero dropped requests, and
 # the shifted regime's routing strictly improves over the frozen
 # baseline. Cooldown 60s keeps the post-swap recovery pass clean.
-"$BIN/shiftex-serve" -checkpoint "$CKPT" -adaptbench \
+"$BIN/shiftex-bench" adapt-live -checkpoint "$CKPT" \
     -samples "$SAMPLES" -test "$TEST" -concurrency 8 \
     -monitor-baseline 160 -monitor-window 160 -monitor-eval-every 512 \
     -monitor-resamples 20 -adapt-cooldown 60s -json "$WORKDIR" >"$LOG/serve.log" 2>&1 \
@@ -143,11 +144,11 @@ grep -q "windows completed=1" "$LOG/serve.log" \
     || fail "adaptation window did not complete: $(cat "$LOG/serve.log")"
 
 echo "== adapt artifact gate (detected, swapped, zero drops, recovery strictly better)"
-"$BIN/shiftex-serve" -check-adapt "$WORKDIR/BENCH_adapt-live.json" \
+"$BIN/shiftex-bench" check "$WORKDIR/BENCH_adapt-live.json" \
     || fail "adapt-live artifact did not validate"
 
 echo "== committed adapt artifact gate"
-"$BIN/shiftex-serve" -check-adapt BENCH_adapt-live.json \
+"$BIN/shiftex-bench" check BENCH_adapt-live.json \
     || fail "committed adapt-live artifact did not validate"
 
 echo "SMOKE OK"
