@@ -45,9 +45,9 @@ type Detector struct {
 	window     int
 	prevSample []tensor.Vector
 	prevHist   stats.Histogram
-	// ws is the cached forward-pass workspace for the embedding loop,
-	// rebuilt only when the encoder architecture changes.
-	ws *nn.Workspace
+	// bw is the cached batch workspace of the embedding pass, rebuilt only
+	// when the encoder architecture changes.
+	bw *nn.BatchWorkspace
 }
 
 // NewDetector builds a detector for one party. sampleCap bounds the number
@@ -88,18 +88,22 @@ func (d *Detector) Observe(model *nn.MLP, window []dataset.Example, rng *tensor.
 	if len(idx) > d.sampleCap {
 		idx = rng.Sample(len(window), d.sampleCap)
 	}
-	if d.ws == nil || !d.ws.Fits(model) {
-		d.ws = nn.NewWorkspace(model)
+	if d.bw == nil || !d.bw.Fits(model) {
+		d.bw = nn.NewBatchWorkspace(model, len(idx))
 	}
-	sample := make([]tensor.Vector, 0, len(idx))
-	for _, i := range idx {
-		e, err := model.EmbedWS(d.ws, window[i].X)
-		if err != nil {
-			return PartyStats{}, fmt.Errorf("party %d embed: %w", d.partyID, err)
-		}
-		// EmbedWS aliases workspace storage; the sample is retained and
-		// transmitted, so it owns a copy.
-		sample = append(sample, e.Clone())
+	xs := make([]tensor.Vector, len(idx))
+	for k, i := range idx {
+		xs[k] = window[i].X
+	}
+	embedded, err := model.EmbedBatchWS(d.bw, xs)
+	if err != nil {
+		return PartyStats{}, fmt.Errorf("party %d embed: %w", d.partyID, err)
+	}
+	// The matrix aliases workspace storage; the sample is retained and
+	// transmitted, so it owns a copy of every row.
+	sample := make([]tensor.Vector, len(idx))
+	for k := range sample {
+		sample[k] = embedded.Row(k).Clone()
 	}
 	mean, err := tensor.Mean(sample)
 	if err != nil {

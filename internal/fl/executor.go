@@ -112,8 +112,21 @@ func (e *PartyExecutor) snapshot() Party {
 // Train runs one local-training assignment. The RNG derives from
 // (cfg.Seed, party ID) only, and the model's init draws are taken from it
 // before global is loaded — the same stream LocalTrain consumes — so updates
-// are bit-identical across transports and to the allocating path.
+// are bit-identical across transports and to the allocating path. The
+// update's Params is a pooled buffer taken inside the call (see Update).
 func (e *PartyExecutor) Train(arch []int, global tensor.Vector, cfg TrainConfig) (Update, error) {
+	out := takeParams(len(global))
+	u, err := e.trainInto(out, arch, global, cfg)
+	if err != nil {
+		RecycleParams(out)
+	}
+	return u, err
+}
+
+// trainInto is Train writing the trained parameters into out[:0]. out may be
+// global's own buffer — the party server passes the request's receive buffer
+// as both — because global is dead by the time the result is written.
+func (e *PartyExecutor) trainInto(out tensor.Vector, arch []int, global tensor.Vector, cfg TrainConfig) (Update, error) {
 	p := e.snapshot()
 	if err := checkAssignment(&p, cfg); err != nil {
 		return Update{}, err
@@ -124,9 +137,9 @@ func (e *PartyExecutor) Train(arch []int, global tensor.Vector, cfg TrainConfig)
 	}
 	defer scratchPool.Put(sc)
 	rng := DeriveRNG(cfg.Seed, e.id)
-	sc.model.Reinit(rng)
+	nn.SkipInit(arch, rng) // every value is about to be overwritten by global
 	sc.opt.Reset()
-	return trainFrom(&p, sc.model, sc.ws, &sc.opt, global, cfg, rng)
+	return trainFrom(&p, sc.model, sc.ws, &sc.opt, global, cfg, rng, out)
 }
 
 // Stats runs the party-side shift detector (Algorithm 1) against the given

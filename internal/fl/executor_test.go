@@ -14,8 +14,12 @@ import (
 // "returns its result" from "rebuilt a model".
 func wideArch(in, classes int) []int { return []int{in, 256, 48, classes} }
 
-// allocBytesPerRun is testing.AllocsPerRun for bytes.
+// allocBytesPerRun is testing.AllocsPerRun for bytes — on one P, as there: a
+// goroutine that changes P between two runs leaves its pooled scratch set in
+// the old P's private slot, where the next run cannot find it, and rebuilds
+// one.
 func allocBytesPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	f() // warm-up, like AllocsPerRun
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -38,9 +42,10 @@ func testExecutor(t *testing.T, p *Party, numClasses int) *PartyExecutor {
 // TestExecutorSteadyStateAllocs pins the executor's cost model: once a
 // scratch set for the architecture is pooled, train allocates a fixed handful of
 // objects and no bytes beyond the parameters it returns plus per-example
-// index slices; eval allocates nothing; stats allocates its result (one
-// embedding per sample) and nothing model-sized. The init draws that the
-// party RNG stream owes happen in place.
+// index slices — and not even those when the caller recycles its updates;
+// eval allocates nothing; stats allocates its result (one embedding per
+// sample) and nothing model-sized. The init draws that the party RNG stream
+// owes are skipped, not computed.
 func TestExecutorSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -66,6 +71,17 @@ func TestExecutorSteadyStateAllocs(t *testing.T) {
 	// 1.02: the allocator rounds the returned vector up to a size class.
 	if b := allocBytesPerRun(10, train); b > 1.02*modelBytes+perExample+1024 {
 		t.Errorf("train allocates %.0f B per call, want only the returned parameters (%.0f B) plus per-example slices", b, modelBytes)
+	}
+
+	recycling := func() {
+		u, err := e.Train(a, global, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		RecycleParams(u.Params)
+	}
+	if b := allocBytesPerRun(10, recycling); b > perExample+1024 {
+		t.Errorf("train allocates %.0f B per call when its updates are recycled, want nothing model-sized (model is %.0f B)", b, modelBytes)
 	}
 
 	eval := func() {

@@ -4,6 +4,19 @@
 // running federations across processes. The paper layers ShiftEx over
 // PySyft/Flower; this package is the equivalent substrate built from
 // scratch.
+//
+// A parameter vector is written once per hop, into a pooled buffer: the party
+// server trains over the buffer its request arrived in and answers from it,
+// and PartyExecutor.Train and TCPTrainer.TrainParty fill one taken from the
+// same pool. An Update.Params from either belongs to whoever holds the update
+// and may be handed back once with RecycleParams; service.Fleet does so, which
+// makes the updates of its Round valid until that fleet's next Round.
+//
+// A buffer is taken inside the call that fills it and changes hands only with
+// the returned Update, so a call its caller has given up on (a fan-out
+// timeout) keeps its buffer to itself and nothing it holds is ever recycled.
+// Such a call may still be reading the parameters it was sent: nobody writes
+// to a round's input vector, during the round or after it.
 package fl
 
 import (
@@ -66,6 +79,11 @@ func (c TrainConfig) Validate() error {
 }
 
 // Update is a party's contribution to one aggregation round.
+//
+// Params of an update produced by PartyExecutor.Train or TCPTrainer.TrainParty
+// is a pooled buffer taken inside that call and owned by whoever holds the
+// update: keep it for as long as needed, or hand it back — once — with
+// RecycleParams when nothing reads it any more.
 type Update struct {
 	PartyID    int           `json:"partyId"`
 	Params     tensor.Vector `json:"params"`
@@ -80,6 +98,46 @@ type Update struct {
 // cross-process one produce bit-identical updates for the same seed.
 func DeriveRNG(seed uint64, partyID int) *tensor.RNG {
 	return tensor.NewRNG(seed ^ (uint64(partyID)+1)*0x9e3779b97f4a7c15)
+}
+
+// paramBuf boxes a pooled parameter vector; emptyBufs recycles the boxes, so
+// a vector can travel as a plain slice inside an Update and still go back to
+// the pool without allocating.
+type paramBuf struct{ v tensor.Vector }
+
+var paramBufs, emptyBufs sync.Pool
+
+// takeParams returns an empty vector with room for n floats for one call to
+// fill: a pooled one when the pool has one that large, a new one otherwise.
+// With n = 0 any pooled vector will do, and the caller grows it as data
+// arrives. It belongs to no connection and no party, so idle ones pin nothing
+// model-sized.
+func takeParams(n int) tensor.Vector {
+	if b, _ := paramBufs.Get().(*paramBuf); b != nil {
+		v := b.v[:0]
+		b.v = nil
+		emptyBufs.Put(b)
+		if cap(v) >= n {
+			return v
+		}
+	}
+	return make(tensor.Vector, 0, n)
+}
+
+// RecycleParams hands a parameter vector — an Update's Params, typically —
+// back for reuse by a later call. The caller must own it outright and must
+// not touch it afterwards; recycling one vector twice would hand it to two
+// calls at once.
+func RecycleParams(v tensor.Vector) {
+	if cap(v) == 0 {
+		return
+	}
+	b, _ := emptyBufs.Get().(*paramBuf)
+	if b == nil {
+		b = new(paramBuf)
+	}
+	b.v = v
+	paramBufs.Put(b)
 }
 
 // LocalTrain trains a fresh model initialized at the global parameters on
@@ -107,7 +165,7 @@ func LocalTrainWS(p *Party, arch []int, global tensor.Vector, cfg TrainConfig, r
 	if ws == nil || !ws.Fits(model) {
 		ws = nn.NewWorkspace(model)
 	}
-	return trainFrom(p, model, ws, nn.NewSGD(cfg.LR), global, cfg, rng)
+	return trainFrom(p, model, ws, nn.NewSGD(cfg.LR), global, cfg, rng, make(tensor.Vector, 0, len(global)))
 }
 
 // checkAssignment rejects an assignment the party cannot run.
@@ -124,8 +182,10 @@ func checkAssignment(p *Party, cfg TrainConfig) error {
 // trainFrom loads global into a model whose init draws have already been
 // taken from rng and trains it on the party's data: the part of an
 // assignment shared by the allocating path and the cached executor. opt must
-// carry no state from an earlier training; global is only read.
-func trainFrom(p *Party, model *nn.MLP, ws *nn.Workspace, opt *nn.SGD, global tensor.Vector, cfg TrainConfig, rng *tensor.RNG) (Update, error) {
+// carry no state from an earlier training. global is only read, and not at
+// all once training has ended: the trained parameters are then written into
+// out[:0], which may therefore be global's own buffer.
+func trainFrom(p *Party, model *nn.MLP, ws *nn.Workspace, opt *nn.SGD, global tensor.Vector, cfg TrainConfig, rng *tensor.RNG, out tensor.Vector) (Update, error) {
 	if err := model.SetParams(global); err != nil {
 		return Update{}, fmt.Errorf("party %d: %w", p.ID, err)
 	}
@@ -142,7 +202,7 @@ func trainFrom(p *Party, model *nn.MLP, ws *nn.Workspace, opt *nn.SGD, global te
 	if err != nil {
 		return Update{}, fmt.Errorf("party %d: %w", p.ID, err)
 	}
-	return Update{PartyID: p.ID, Params: model.Params(), NumSamples: len(p.Train), TrainLoss: loss}, nil
+	return Update{PartyID: p.ID, Params: model.AppendParams(out[:0]), NumSamples: len(p.Train), TrainLoss: loss}, nil
 }
 
 // FedAvg aggregates updates into new global parameters, weighting each by
@@ -306,12 +366,22 @@ func (e *Engine) Round(global tensor.Vector, selected []int, cfg TrainConfig) (t
 }
 
 // Evaluator measures parameter vectors against datasets through one cached
-// model and workspace, so repeated evaluations (per round, per party) stop
-// allocating model-sized buffers. Not safe for concurrent use.
+// model and its workspaces, so repeated evaluations (per round, per party)
+// stop allocating model-sized buffers. Not safe for concurrent use.
 type Evaluator struct {
 	model *nn.MLP
 	ws    *nn.Workspace
+	// bw, xs and classes carry one evalBatch-row chunk of a test set through
+	// the batched forward pass.
+	bw      *nn.BatchWorkspace
+	xs      []tensor.Vector
+	classes []int
 }
+
+// evalBatch is how many examples Accuracy sends through the GEMM forward pass
+// at once: enough rows to amortize a layer's weights, few enough that a large
+// test set does not size the evaluator's activation matrices.
+const evalBatch = 64
 
 // NewEvaluator builds an evaluator for one architecture.
 func NewEvaluator(arch []int) (*Evaluator, error) {
@@ -319,11 +389,18 @@ func NewEvaluator(arch []int) (*Evaluator, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Evaluator{model: model, ws: nn.NewWorkspace(model)}, nil
+	return &Evaluator{
+		model:   model,
+		ws:      nn.NewWorkspace(model),
+		bw:      nn.NewBatchWorkspace(model, 1),
+		xs:      make([]tensor.Vector, 0, evalBatch),
+		classes: make([]int, evalBatch),
+	}, nil
 }
 
-// Accuracy measures the accuracy of the given parameters on a test set.
-// Examples are consumed in place — no input/label slices are materialized.
+// Accuracy measures the accuracy of the given parameters on a test set, a
+// batch of evalBatch examples at a time; the predictions are those of
+// PredictWS example by example.
 func (e *Evaluator) Accuracy(params tensor.Vector, test []dataset.Example) (float64, error) {
 	if len(test) == 0 {
 		return 0, errors.New("fl: empty test set")
@@ -332,13 +409,20 @@ func (e *Evaluator) Accuracy(params tensor.Vector, test []dataset.Example) (floa
 		return 0, err
 	}
 	correct := 0
-	for _, ex := range test {
-		pred, err := e.model.PredictWS(e.ws, ex.X)
-		if err != nil {
+	for start := 0; start < len(test); start += evalBatch {
+		chunk := test[start:min(start+evalBatch, len(test))]
+		e.xs = e.xs[:0]
+		for _, ex := range chunk {
+			e.xs = append(e.xs, ex.X)
+		}
+		classes := e.classes[:len(chunk)]
+		if err := e.model.PredictBatchWS(e.bw, e.xs, classes); err != nil {
 			return 0, err
 		}
-		if pred == ex.Y {
-			correct++
+		for i, ex := range chunk {
+			if classes[i] == ex.Y {
+				correct++
+			}
 		}
 	}
 	return float64(correct) / float64(len(test)), nil

@@ -118,12 +118,6 @@ type PartyServer struct {
 	conns  map[net.Conn]bool // live connections; true while an exchange is in flight
 }
 
-// recvBuf is a pooled receive buffer for a request's parameter vector. It
-// belongs to no connection, so idle connections pin nothing model-sized.
-type recvBuf struct{ v tensor.Vector }
-
-var recvPool = sync.Pool{New: func() any { return new(recvBuf) }}
-
 // SetTracer attaches a tracer; each wire request then records a
 // party.<kind> span, continuing the aggregator's trace when the request
 // carries a valid traceparent.
@@ -270,12 +264,15 @@ func (s *PartyServer) exchange(w *wire) bool {
 		return false
 	}
 	if n > 0 {
-		buf := recvPool.Get().(*recvBuf)
-		defer recvPool.Put(buf)
-		if buf.v, err = w.recvVector(buf.v, n); err != nil {
+		// The request's vector arrives in a pooled buffer, and a train
+		// response leaves in the same one (see execute): it goes back to the
+		// pool exactly once, when the exchange is over either way.
+		buf, err := w.recvVector(takeParams(0), n)
+		defer RecycleParams(buf)
+		if err != nil {
 			return false
 		}
-		req.Global = buf.v
+		req.Global = buf
 	}
 	resp := s.execute(&req)
 	params := resp.Update.Params
@@ -297,7 +294,8 @@ func (s *PartyServer) execute(req *request) (resp response) {
 	var err error
 	switch req.Kind {
 	case reqTrain:
-		resp.Update, err = s.exec.Train(req.Arch, req.Global, req.Cfg)
+		// The trained model is written over the request's own buffer.
+		resp.Update, err = s.exec.trainInto(req.Global, req.Arch, req.Global, req.Cfg)
 	case reqStats:
 		resp.Stats, err = s.exec.Stats(req.Arch, req.Global, req.Seed)
 	case reqEval:
@@ -539,9 +537,15 @@ func (t *TCPTrainer) exchange(partyID int, c *clientConn, req *request) (resp re
 		return response{}, fmt.Errorf("fl: decode from party %d: %s response carries %d parameters, want %d", partyID, req.Kind, n, want)
 	}
 	if n > 0 {
-		if resp.Update.Params, err = c.recvVector(make(tensor.Vector, 0, n), n); err != nil {
+		// The update is received into a pooled buffer taken here, inside the
+		// call, and leaves only with the returned Update: a caller that has
+		// given up on this call never sees it, so never recycles it.
+		buf, err := c.recvVector(takeParams(n), n)
+		if err != nil {
+			RecycleParams(buf)
 			return response{}, fmt.Errorf("fl: decode from party %d: %w", partyID, err)
 		}
+		resp.Update.Params = buf
 	}
 	return resp, nil
 }

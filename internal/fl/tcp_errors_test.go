@@ -162,6 +162,65 @@ func TestTCPMalformedResponse(t *testing.T) {
 	}
 }
 
+// TestTCPMalformedTrainVector covers the one response that fills a pooled
+// buffer: a party answering a train request with a vector of the wrong length,
+// or dying partway through the right one. Neither may hand the caller a short
+// update, and the buffer the receive had taken goes back to the pool once —
+// never twice, which would give two later calls the same memory.
+func TestTCPMalformedTrainVector(t *testing.T) {
+	a := []int{2, 3, 2}
+	global := initParams(t, a)
+	readRequest := func(w *wire) {
+		var req request
+		if n, err := w.recv(&req); err == nil {
+			_, _ = w.recvVector(nil, n)
+		}
+	}
+	wrongLength := framedServer(t, func(w *wire) {
+		readRequest(w)
+		_ = w.send(&response{Update: Update{NumSamples: 4}}, global[:len(global)-1])
+	})
+	diesMidVector := framedServer(t, func(w *wire) {
+		readRequest(w)
+		// A whole frame header and envelope, then half the vector it announces.
+		pr, pw := net.Pipe()
+		go func() {
+			_ = newWire(pw).send(&response{Update: Update{NumSamples: 4}}, global)
+			pw.Close()
+		}()
+		frame, _ := io.ReadAll(pr)
+		_, _ = w.conn.Write(frame[:len(frame)-8*len(global)/2])
+	})
+
+	for name, tc := range map[string]struct{ addr, want string }{
+		"wrongLength":   {wrongLength, "train response carries 16 parameters, want 17"},
+		"diesMidVector": {diesMidVector, "decode from party 0"},
+	} {
+		t.Run(name, func(t *testing.T) {
+			trainer := NewTCPTrainer(map[int]string{0: tc.addr})
+			for i := 0; i < 3; i++ {
+				u, err := trainer.TrainParty(0, a, global, validCfg())
+				if err == nil || !strings.Contains(err.Error(), tc.want) {
+					t.Fatalf("err = %v, want %q", err, tc.want)
+				}
+				if u.Params != nil {
+					t.Fatalf("a failed train call returned %d parameters", len(u.Params))
+				}
+			}
+			// Whatever the failed receives put back, no two takers may get
+			// the same memory.
+			seen := make(map[*float64]bool)
+			for i := 0; i < 16; i++ {
+				v := takeParams(1)[:1]
+				if seen[&v[0]] {
+					t.Fatal("the pool handed out one buffer twice: a failed receive recycled it twice")
+				}
+				seen[&v[0]] = true
+			}
+		})
+	}
+}
+
 // TestTCPRequestTimeout covers a party that accepts and never answers: the
 // trainer's call deadline must cut the exchange instead of hanging.
 func TestTCPRequestTimeout(t *testing.T) {

@@ -138,3 +138,39 @@ func TestPartyServerNilParty(t *testing.T) {
 		t.Fatal("nil party should error")
 	}
 }
+
+// BenchmarkRoundTCP is one federated round of four participants over loopback
+// at the repo benchmark's large architecture, the updates handed back the way
+// service.Fleet does before its next round. B/op is what a round leaves for the
+// collector: with every parameter vector written once per hop into a pooled
+// buffer it is the FedAvg aggregate plus per-call bookkeeping.
+func BenchmarkRoundTCP(b *testing.B) {
+	spec := testSpec()
+	a := []int{spec.InputDim, 128, 64, spec.NumClasses}
+	trainer := NewTCPTrainer(nil)
+	defer trainer.Close()
+	selected := []int{0, 1, 2, 3}
+	for _, p := range buildParties(b, spec, 10)[:len(selected)] {
+		srv, err := NewPartyServer("127.0.0.1:0", p, spec.NumClasses, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer srv.Close()
+		trainer.Register(p.ID, srv.Addr())
+	}
+	eng := &Engine{Arch: a, Trainer: trainer, Workers: 2}
+	global := initParams(b, a)
+	cfg := validCfg()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cfg.Seed = uint64(i)
+		_, updates, err := eng.Round(global, selected, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, u := range updates {
+			RecycleParams(u.Params)
+		}
+	}
+}

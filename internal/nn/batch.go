@@ -26,14 +26,20 @@ import (
 // steady-state loop over bounded batches performs zero heap allocations
 // (pinned by TestBatchForwardAllocateNothing).
 type BatchWorkspace struct {
-	dims    []int
+	// views[0] is the packed input (rows×dims[0]); views[l+1] holds layer l's
+	// post-activation output.
+	rowMats
+}
+
+// rowMats is a set of row-major matrices that share one live row count: one
+// matrix per width, all carved from a single arena at full capacity, plus
+// views of the same storage re-headed to the live batch size — mutated in
+// place by setRows so per-call view construction allocates nothing.
+type rowMats struct {
+	widths  []int
 	capRows int
-	// full[0] is the packed input (capRows×dims[0]); full[l+1] holds layer
-	// l's post-activation output. views are the same matrices re-headed to
-	// the live batch size, mutated in place by setBatch so per-call view
-	// construction allocates nothing.
-	full  []*tensor.Matrix
-	views []*tensor.Matrix
+	full    []*tensor.Matrix
+	views   []*tensor.Matrix
 }
 
 // NewBatchWorkspace allocates a batch workspace fitting m's architecture
@@ -48,52 +54,55 @@ func NewBatchWorkspaceDims(dims []int, maxBatch int) *BatchWorkspace {
 	if maxBatch < 1 {
 		maxBatch = 1
 	}
-	bw := &BatchWorkspace{dims: append([]int(nil), dims...)}
+	bw := &BatchWorkspace{rowMats{widths: append([]int(nil), dims...)}}
 	bw.grow(maxBatch)
 	return bw
 }
 
-// grow (re)carves all activation matrices with capacity for rows batches.
-func (bw *BatchWorkspace) grow(rows int) {
+// grow (re)carves every matrix with capacity for rows rows.
+func (r *rowMats) grow(rows int) {
 	need := 0
-	for _, d := range bw.dims {
+	for _, d := range r.widths {
 		need += rows * d
 	}
 	arena := tensor.NewWorkspace(need)
-	bw.capRows = rows
-	bw.full = make([]*tensor.Matrix, len(bw.dims))
-	bw.views = make([]*tensor.Matrix, len(bw.dims))
-	for i, d := range bw.dims {
-		bw.full[i] = arena.Mat(rows, d)
-		bw.views[i] = &tensor.Matrix{Rows: rows, Cols: d, Data: bw.full[i].Data}
+	r.capRows = rows
+	r.full = make([]*tensor.Matrix, len(r.widths))
+	r.views = make([]*tensor.Matrix, len(r.widths))
+	for i, d := range r.widths {
+		r.full[i] = arena.Mat(rows, d)
+		r.views[i] = &tensor.Matrix{Rows: rows, Cols: d, Data: r.full[i].Data}
 	}
 }
 
-// setBatch points the views at the first n rows, growing capacity if the
+// setRows points the views at the first n rows, growing capacity if the
 // batch exceeds it (a doubling grow, so repeated ragged sizes settle).
-func (bw *BatchWorkspace) setBatch(n int) {
-	if n > bw.capRows {
-		rows := 2 * bw.capRows
+func (r *rowMats) setRows(n int) {
+	if n > r.capRows {
+		rows := 2 * r.capRows
 		if rows < n {
 			rows = n
 		}
-		bw.grow(rows)
+		r.grow(rows)
 	}
-	for i, v := range bw.views {
+	for i, v := range r.views {
 		v.Rows = n
-		v.Data = bw.full[i].Data[:n*v.Cols]
+		v.Data = r.full[i].Data[:n*v.Cols]
 	}
 }
 
 // Cap returns the current row capacity.
 func (bw *BatchWorkspace) Cap() int { return bw.capRows }
 
+// Fits reports whether the workspace matches m's layer widths.
+func (bw *BatchWorkspace) Fits(m *MLP) bool { return bw.FitsDims(m.dims) }
+
 // FitsDims reports whether the workspace matches the given layer widths.
 func (bw *BatchWorkspace) FitsDims(dims []int) bool {
-	if len(bw.dims) != len(dims) {
+	if len(bw.widths) != len(dims) {
 		return false
 	}
-	for i, d := range bw.dims {
+	for i, d := range bw.widths {
 		if d != dims[i] {
 			return false
 		}
@@ -103,8 +112,8 @@ func (bw *BatchWorkspace) FitsDims(dims []int) bool {
 
 // check returns an error when the workspace does not fit m.
 func (bw *BatchWorkspace) check(m *MLP) error {
-	if !bw.FitsDims(m.dims) {
-		return fmt.Errorf("nn: batch workspace dims %v do not fit model dims %v: %w", bw.dims, m.dims, ErrDimension)
+	if !bw.Fits(m) {
+		return fmt.Errorf("nn: batch workspace dims %v do not fit model dims %v: %w", bw.widths, m.dims, ErrDimension)
 	}
 	return nil
 }
@@ -129,7 +138,7 @@ func (m *MLP) forwardBatch(bw *BatchWorkspace, xs []tensor.Vector, nLayers int) 
 				ErrDimension, i, len(x), m.InputDim())
 		}
 	}
-	bw.setBatch(len(xs))
+	bw.setRows(len(xs))
 	in := bw.views[0]
 	for i, x := range xs {
 		copy(in.Row(i), x)
@@ -194,4 +203,66 @@ func (m *MLP) PredictBatchWS(bw *BatchWorkspace, xs []tensor.Vector, classes []i
 		classes[i] = logits.Row(i).ArgMax()
 	}
 	return nil
+}
+
+// gradientsBatch accumulates the hard-label gradients of a whole mini-batch
+// into ws.Grads() and returns the summed loss: the forward pass is one GEMM
+// per layer, the weight gradient dW += Δᵀ·A and the propagated delta
+// Δ_prev = Δ·W one GEMM each. Every accumulator receives its per-sample
+// contributions in ascending sample order with the same zero-skips as the
+// per-sample kernels, so the result is bit-identical to zeroing the
+// gradients and calling GradientsWS on each example in turn.
+func (m *MLP) gradientsBatch(ws *Workspace, xs []tensor.Vector, ys []int) (float64, error) {
+	if err := ws.check(m); err != nil {
+		return 0, err
+	}
+	if ws.batch == nil {
+		ws.batch = NewBatchWorkspaceDims(ws.dims, len(xs))
+	}
+	if err := m.forwardBatch(ws.batch, xs, len(m.layers)); err != nil {
+		return 0, err
+	}
+	ws.bdeltas.setRows(len(xs))
+	acts, deltas := ws.batch.views, ws.bdeltas.views
+	ws.ZeroGrads()
+
+	// Output-layer delta: the softmax cross-entropy gradient, row by row.
+	logits, out := acts[len(acts)-1], deltas[len(deltas)-1]
+	var total float64
+	for s, y := range ys {
+		prob := out.Row(s)
+		softmaxInto(prob, logits.Row(s))
+		if y < 0 || y >= len(prob) {
+			return 0, fmt.Errorf("nn: label %d out of range [0,%d)", y, len(prob))
+		}
+		total += -logp(prob[y])
+		prob[y] -= 1
+	}
+
+	for l := len(m.layers) - 1; l >= 0; l-- {
+		delta, in := deltas[l], acts[l]
+		if err := tensor.MatTMulAddInto(ws.grads[l].W, delta, in); err != nil {
+			return 0, err
+		}
+		for s := 0; s < delta.Rows; s++ {
+			if err := ws.grads[l].B.Add(delta.Row(s)); err != nil {
+				return 0, err
+			}
+		}
+		if l == 0 {
+			break
+		}
+		// Propagate: Δ_prev = Δ·W ⊙ relu'(pre-act). in holds the post-ReLU
+		// output of layer l-1; ReLU' is 1 where it is positive.
+		prev := deltas[l-1]
+		if err := tensor.MatMulInto(prev, delta, m.layers[l].W); err != nil {
+			return 0, err
+		}
+		for i, a := range in.Data {
+			if a <= 0 {
+				prev.Data[i] = 0
+			}
+		}
+	}
+	return total, nil
 }

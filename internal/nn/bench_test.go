@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/tensor"
@@ -94,17 +95,27 @@ func BenchmarkAdamStep(b *testing.B) {
 	}
 }
 
+// BenchmarkTrainBatch times one optimizer step over a mini-batch at the two
+// architectures and the batch sizes the repo benchmark trains with; ns/sample
+// is the figure its nn.train_batch_ns_per_sample rung reports.
 func BenchmarkTrainBatch(b *testing.B) {
-	m := benchModel(b, 32, 64, 16, 10)
-	ws := NewWorkspace(m)
-	xs, ys := benchBatch(16, 32, 10)
-	opt := NewSGD(0.01)
-	opt.Momentum = 0.9
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := TrainBatchWS(ws, m, xs, ys, opt); err != nil {
-			b.Fatal(err)
+	for _, arch := range benchArchs {
+		for _, batch := range []int{8, 16} {
+			b.Run(fmt.Sprintf("arch=%d-%d-%d-%d/batch=%d", arch[0], arch[1], arch[2], arch[3], batch), func(b *testing.B) {
+				m := benchModel(b, arch...)
+				ws := NewWorkspace(m)
+				xs, ys := benchBatch(batch, arch[0], arch[len(arch)-1])
+				opt := NewSGD(0.01)
+				opt.Momentum = 0.9
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := TrainBatchWS(ws, m, xs, ys, opt); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/sample")
+			})
 		}
 	}
 }

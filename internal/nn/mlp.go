@@ -78,14 +78,13 @@ func NewMLP(dims []int, rng *tensor.RNG) (*MLP, error) {
 	return m, nil
 }
 
-// Reinit re-draws the model's initialization from rng in place: the same
-// draws, in the same order, leaving the same state as NewMLP(m.Dims(), rng),
-// without allocating. Callers that cache a model but owe their RNG stream the
-// init draws (fl's party executor) use it instead of building a new model.
-func (m *MLP) Reinit(rng *tensor.RNG) {
-	for _, l := range m.layers {
-		l.heInit(rng)
-		l.B.Fill(0)
+// SkipInit advances rng past the draws NewMLP(dims, rng) takes — one normal
+// per weight — without computing them. Callers that cache a model and load
+// every parameter anyway, but owe their RNG stream the init draws (fl's party
+// executor), use it instead of initializing a model.
+func SkipInit(dims []int, rng *tensor.RNG) {
+	for i := 0; i+1 < len(dims); i++ {
+		rng.SkipNorm(dims[i] * dims[i+1])
 	}
 }
 
@@ -292,12 +291,17 @@ func ParamCount(dims []int) int {
 
 // Params returns a flattened copy of all parameters.
 func (m *MLP) Params() tensor.Vector {
-	out := make(tensor.Vector, 0, m.NumParams())
+	return m.AppendParams(make(tensor.Vector, 0, m.NumParams()))
+}
+
+// AppendParams appends the flattened parameters to dst and returns the
+// extended vector — Params into a buffer the caller already owns.
+func (m *MLP) AppendParams(dst tensor.Vector) tensor.Vector {
 	for _, l := range m.layers {
-		out = append(out, l.W.Data...)
-		out = append(out, l.B...)
+		dst = append(dst, l.W.Data...)
+		dst = append(dst, l.B...)
 	}
-	return out
+	return dst
 }
 
 // SetParams loads a flattened parameter vector produced by Params.

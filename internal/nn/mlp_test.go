@@ -3,7 +3,6 @@ package nn
 import (
 	"errors"
 	"math"
-	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -281,33 +280,16 @@ func TestDimsReturnsCopy(t *testing.T) {
 	}
 }
 
-// TestReinitMatchesNewMLP: re-initializing in place takes the same draws and
-// leaves the same parameters as building a new model from the same stream,
-// whatever the model held before.
-func TestReinitMatchesNewMLP(t *testing.T) {
+// TestSkipInitMatchesNewMLP: skipping a model's initialization leaves the
+// stream exactly where building the model from it does.
+func TestSkipInitMatchesNewMLP(t *testing.T) {
 	dims := []int{5, 7, 4, 3}
-	fresh, err := NewMLP(dims, tensor.NewRNG(11))
-	if err != nil {
+	built, skipped := tensor.NewRNG(11), tensor.NewRNG(11)
+	if _, err := NewMLP(dims, built); err != nil {
 		t.Fatal(err)
 	}
-	reused, err := NewMLP(dims, tensor.NewRNG(99))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dirty := reused.Params()
-	dirty.Fill(3)
-	if err := reused.SetParams(dirty); err != nil {
-		t.Fatal(err)
-	}
-	rngA, rngB := tensor.NewRNG(11), tensor.NewRNG(11)
-	if _, err := NewMLP(dims, rngA); err != nil {
-		t.Fatal(err)
-	}
-	reused.Reinit(rngB)
-	if !reflect.DeepEqual(reused.Params(), fresh.Params()) {
-		t.Fatal("Reinit parameters differ from NewMLP's for the same seed")
-	}
-	if rngA.Norm() != rngB.Norm() {
-		t.Fatal("Reinit consumed a different number of draws than NewMLP")
+	SkipInit(dims, skipped)
+	if built.State() != skipped.State() {
+		t.Fatal("SkipInit left the stream somewhere NewMLP does not")
 	}
 }

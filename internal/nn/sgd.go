@@ -61,21 +61,33 @@ func (o *SGD) prepare(n int) error {
 // eff = g + weightDecay·θ + μ·(θ − θ_ref); v = momentum·v + eff;
 // θ -= lr·(v or eff).
 func (o *SGD) stepSegment(p, g []float64, off int) {
-	for i := range p {
+	// The hyper-parameters and state windows are loaded once: the loop
+	// writes p and velocity, so the compiler would otherwise reload every
+	// field of o per element.
+	lr, decay, mu, momentum := o.LR, o.WeightDecay, o.ProxMu, o.Momentum
+	var ref, vel []float64
+	if mu > 0 {
+		ref = o.ProxRef[off : off+len(p)]
+	}
+	if momentum > 0 {
+		vel = o.velocity[off : off+len(p)]
+	}
+	g = g[:len(p)]
+	for i, pi := range p {
 		eff := g[i]
-		if o.WeightDecay > 0 {
-			eff += o.WeightDecay * p[i]
+		if decay > 0 {
+			eff += decay * pi
 		}
-		if o.ProxMu > 0 {
-			eff += o.ProxMu * p[i]
-			eff -= o.ProxMu * o.ProxRef[off+i]
+		if mu > 0 {
+			eff += mu * pi
+			eff -= mu * ref[i]
 		}
-		if o.Momentum > 0 {
-			v := o.Momentum*o.velocity[off+i] + eff
-			o.velocity[off+i] = v
+		if momentum > 0 {
+			v := momentum*vel[i] + eff
+			vel[i] = v
 			eff = v
 		}
-		p[i] -= o.LR * eff
+		p[i] = pi - lr*eff
 	}
 }
 
@@ -138,8 +150,10 @@ func checkGradShapes(m *MLP, grads []*Dense) error {
 }
 
 // TrainBatchWS computes the average gradient of the model over a mini-batch
-// into the workspace accumulators and applies one optimizer step, returning
-// the pre-step mean loss. The steady-state allocation count is zero.
+// into the workspace accumulators — the whole batch at once, as matrices —
+// and applies one optimizer step, returning the pre-step mean loss. Losses
+// and weights are bit-identical to accumulating GradientsWS example by
+// example. The steady-state allocation count is zero.
 func TrainBatchWS(ws *Workspace, m *MLP, xs []tensor.Vector, ys []int, opt Optimizer) (float64, error) {
 	if len(xs) == 0 {
 		return 0, errEmptyBatch
@@ -147,14 +161,9 @@ func TrainBatchWS(ws *Workspace, m *MLP, xs []tensor.Vector, ys []int, opt Optim
 	if len(xs) != len(ys) {
 		return 0, fmt.Errorf("train: %w: %d inputs vs %d labels", ErrDimension, len(xs), len(ys))
 	}
-	ws.ZeroGrads()
-	var total float64
-	for i, x := range xs {
-		loss, err := m.GradientsWS(ws, x, ys[i])
-		if err != nil {
-			return 0, err
-		}
-		total += loss
+	total, err := m.gradientsBatch(ws, xs, ys)
+	if err != nil {
+		return 0, err
 	}
 	inv := 1 / float64(len(xs))
 	for _, g := range ws.grads {

@@ -13,6 +13,10 @@ import (
 // instead of allocating, which takes the per-example cost of forward,
 // backward, and optimizer steps to zero heap allocations.
 //
+// TrainBatchWS additionally keeps whole-batch activation and delta matrices
+// here; they grow to the largest mini-batch seen and then stay, so the
+// steady-state allocation count of a training loop is zero as well.
+//
 // Ownership and aliasing rules:
 //
 //   - Buffers returned by ForwardWS/EmbedWS (and Grads) alias workspace
@@ -34,6 +38,13 @@ type Workspace struct {
 	prob tensor.Vector
 	// grads accumulates parameter gradients, one *Dense per layer.
 	grads []*Dense
+	// batch and bdeltas are the whole-batch counterparts of acts and deltas:
+	// the activation and backprop-delta matrices TrainBatchWS runs a
+	// mini-batch through. They are built by the first training call and grow
+	// to the largest batch seen, so workspaces that only evaluate never pay
+	// for them.
+	batch   *BatchWorkspace
+	bdeltas rowMats
 }
 
 // NewWorkspace allocates a workspace fitting m's architecture.
@@ -62,6 +73,7 @@ func NewWorkspaceDims(dims []int) *Workspace {
 		deltas: make([]tensor.Vector, layers),
 		grads:  make([]*Dense, layers),
 	}
+	ws.bdeltas.widths = ws.dims[1:]
 	for i := 0; i < layers; i++ {
 		ws.acts[i+1] = arena.Vec(dims[i+1])
 		ws.deltas[i] = arena.Vec(dims[i+1])

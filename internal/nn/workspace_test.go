@@ -331,23 +331,3 @@ func TestStepLayersAllocs(t *testing.T) {
 		t.Fatalf("Adam StepLayers allocates %v/op, want 0", n)
 	}
 }
-
-func TestTrainBatchWSAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are inflated under -race")
-	}
-	m, xs, ys := testModelAndBatch(t)
-	ws := NewWorkspace(m)
-	opt := NewSGD(0.01)
-	opt.Momentum = 0.9
-	if _, err := TrainBatchWS(ws, m, xs, ys, opt); err != nil { // warm up
-		t.Fatal(err)
-	}
-	if n := testing.AllocsPerRun(50, func() {
-		if _, err := TrainBatchWS(ws, m, xs, ys, opt); err != nil {
-			t.Fatal(err)
-		}
-	}); n != 0 {
-		t.Fatalf("TrainBatchWS allocates %v/op at steady state, want 0", n)
-	}
-}

@@ -30,12 +30,14 @@ func TestCheckpointResumeParity(t *testing.T) {
 	}
 	rtRef := runAll(t, localRef, testOptions(scRef, seed))
 
-	// Interrupted run: same fleet object across the restart.
+	// Interrupted run: same fleet object across the restart, and every
+	// recycled update poisoned — a run that kept one would diverge.
 	sc := testScenario(t, seed)
-	local, err := LocalTransportForScenario(sc)
+	plain, err := LocalTransportForScenario(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
+	local := poisonTransport{plain}
 	opts := testOptions(sc, seed)
 	opts.CheckpointPath = filepath.Join(t.TempDir(), "shiftex.ckpt.json")
 

@@ -41,6 +41,9 @@ type Fleet struct {
 	// until a later advance succeeds — silently mixing windows would
 	// corrupt both training and detection.
 	stale map[int]bool
+	// spent holds the parameter vectors of the updates the last Round
+	// received; the next Round hands them back to the transport.
+	spent []tensor.Vector
 }
 
 var _ shiftex.Fleet = (*Fleet)(nil)
@@ -172,9 +175,22 @@ func (f *Fleet) SetWindow(w int) error {
 // Round implements shiftex.Fleet: one synchronous federated round with
 // straggler/failure tolerance. Updates aggregate in selection order; the
 // round fails when fewer than the quorum of selected parties report.
+//
+// The returned updates' Params are valid until this fleet's next Round, which
+// recycles them; the aggregate is the caller's to keep. Only updates that
+// reached the fleet are ever recycled: a call abandoned by the fan-out
+// timeout keeps the buffer it took for itself, and may go on reading params —
+// which is therefore never written to, here or by the caller's next round.
 func (f *Fleet) Round(params tensor.Vector, selected []int, cfg fl.TrainConfig) (tensor.Vector, []fl.Update, error) {
 	if len(selected) == 0 {
 		return nil, nil, errors.New("service: no parties selected")
+	}
+	f.mu.Lock()
+	spent := f.spent
+	f.spent = nil
+	f.mu.Unlock()
+	for _, v := range spent {
+		f.transport.Recycle(v)
 	}
 	start := time.Now()
 	results, errs := fanOut(f, f.fan, selected, "train", func(id int) (fl.Update, error) {
@@ -184,6 +200,7 @@ func (f *Fleet) Round(params tensor.Vector, selected []int, cfg fl.TrainConfig) 
 		return f.transport.Train(id, f.arch, params, cfg)
 	})
 	updates := make([]fl.Update, 0, len(selected))
+	spent = spent[:0]
 	var failures []error
 	for i := range results {
 		if errs[i] != nil {
@@ -191,7 +208,11 @@ func (f *Fleet) Round(params tensor.Vector, selected []int, cfg fl.TrainConfig) 
 			continue
 		}
 		updates = append(updates, results[i])
+		spent = append(spent, results[i].Params)
 	}
+	f.mu.Lock()
+	f.spent = spent
+	f.mu.Unlock()
 	need := f.fan.QuorumNeed(len(selected))
 	if len(updates) < need {
 		f.metrics.RoundFailed()

@@ -35,7 +35,9 @@ func record(rt *Runtime) decisionRecord {
 // TestCrossProcessParity is the acceptance test for the service layer: the
 // same seed must produce the same shift-detection and expert-assignment
 // decisions whether parties are in-process or reached over TCP. Every float
-// is compared exactly — the contract is bit-identity, not approximation.
+// is compared exactly — the contract is bit-identity, not approximation. Both
+// runs poison what the fleet recycles, so they also prove that nothing keeps a
+// round's Update.Params past the next Round.
 func TestCrossProcessParity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cross-process parity is slow")
@@ -48,13 +50,13 @@ func TestCrossProcessParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rtLocal := runAll(t, local, testOptions(scLocal, seed))
+	rtLocal := runAll(t, poisonTransport{local}, testOptions(scLocal, seed))
 
 	remote := startTCPFleet(t, scRemote)
 	if err := remote.Ping(0); err != nil {
 		t.Fatal(err)
 	}
-	rtRemote := runAll(t, remote, testOptions(scRemote, seed))
+	rtRemote := runAll(t, poisonTransport{remote}, testOptions(scRemote, seed))
 
 	recLocal, recRemote := record(rtLocal), record(rtRemote)
 	if !reflect.DeepEqual(recLocal.Assignments, recRemote.Assignments) {

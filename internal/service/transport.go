@@ -34,8 +34,14 @@ type Transport interface {
 	// PartyIDs returns the fleet's party IDs in ascending order.
 	PartyIDs() []int
 	// Train runs one local-training assignment on the party. The party
-	// derives its RNG from (cfg.Seed, partyID) only.
+	// derives its RNG from (cfg.Seed, partyID) only. The update's Params
+	// belongs to the caller until it hands it to Recycle.
 	Train(partyID int, arch []int, global tensor.Vector, cfg fl.TrainConfig) (fl.Update, error)
+	// Recycle takes back the Params of an update this transport's Train
+	// returned, once nothing reads it any more; the caller must not touch
+	// the vector afterwards. Only the transport knows whether its updates
+	// live in pooled buffers — one whose updates do not ignores the call.
+	Recycle(params tensor.Vector)
 	// Stats runs the party-side shift detector (Algorithm 1) against the
 	// given encoder parameters; seed pins the party's subsampling RNG.
 	Stats(partyID int, arch []int, encoder tensor.Vector, numClasses int, seed uint64) (detect.PartyStats, error)
@@ -119,6 +125,9 @@ func (t *LocalTransport) Train(partyID int, arch []int, global tensor.Vector, cf
 	}
 	return p.Train(arch, global, cfg)
 }
+
+// Recycle implements Transport: the executor's updates are pooled.
+func (t *LocalTransport) Recycle(params tensor.Vector) { fl.RecycleParams(params) }
 
 // Stats implements Transport; the detector's rolling previous-window state
 // advances exactly as a remote party server's would.
@@ -213,6 +222,10 @@ func (t *TCPTransport) PartyIDs() []int { return append([]int(nil), t.ids...) }
 func (t *TCPTransport) Train(partyID int, arch []int, global tensor.Vector, cfg fl.TrainConfig) (fl.Update, error) {
 	return t.trainer.TrainParty(partyID, arch, global, cfg)
 }
+
+// Recycle implements Transport: the trainer receives updates into pooled
+// buffers.
+func (t *TCPTransport) Recycle(params tensor.Vector) { fl.RecycleParams(params) }
 
 // Stats implements Transport.
 func (t *TCPTransport) Stats(partyID int, arch []int, encoder tensor.Vector, numClasses int, seed uint64) (detect.PartyStats, error) {

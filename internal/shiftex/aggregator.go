@@ -106,6 +106,13 @@ type Fleet interface {
 	PartyIDs() []int
 	InitialParams() (tensor.Vector, error)
 	SetWindow(w int) error
+	// Round runs one federated round from params on the selected parties and
+	// returns the aggregate with the individual updates. The aggregate is
+	// the caller's to keep; an update's Params is valid only until this
+	// fleet's next Round, which may reuse its memory (service.Fleet does).
+	// A party call the fleet gave up on may still be running and reading
+	// params after Round returns: never write to a vector that was passed
+	// to Round — replace it, as the aggregator does with an expert's.
 	Round(params tensor.Vector, selected []int, cfg fl.TrainConfig) (tensor.Vector, []fl.Update, error)
 	// StatsAll collects Algorithm-1 statistics from every party through
 	// the given encoder parameters, in party-ID order. Parties that fail

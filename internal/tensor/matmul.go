@@ -2,17 +2,18 @@ package tensor
 
 import "fmt"
 
-// Blocked Mat×Mat (GEMM) kernels for whole-batch inference. Like the other
-// in-place kernels, they write into caller-owned destinations and allocate
-// nothing. dst must not alias a or b: both loops read the inputs while
-// writing dst.
+// Mat×Mat (GEMM) kernels for whole-batch inference and training. Like the
+// other in-place kernels, they write into caller-owned destinations and
+// allocate nothing. dst must not alias a or b: the loops read the inputs
+// while writing dst.
 //
-// The loops are tiled for cache locality, but every destination element
-// still accumulates its k-products in strictly ascending k order — the same
-// order MatVecInto uses — so a batched forward pass is bit-identical to the
-// per-sample loop it replaces. Tiling only changes WHICH elements are in
-// flight together, never the addition order within one element; the parity
-// tests in matmul_test.go pin this down to the last bit.
+// The loops are regrouped for locality, but every destination element still
+// accumulates its products in strictly ascending order — the order MatVecInto
+// (forward), MatTVecInto (backward delta) and AddOuter (weight gradient) use —
+// so a batched forward or backward pass is bit-identical to the per-sample
+// loop it replaces. Regrouping only changes WHICH elements are in flight
+// together, never the addition order within one element; the parity tests in
+// matmul_test.go pin this down to the last bit.
 
 // matMulBlock is the tile edge. 32 rows of a 256-wide f64 operand are
 // 64 KiB — the tile of b reused across a whole tile of a stays resident in
@@ -21,8 +22,11 @@ import "fmt"
 const matMulBlock = 32
 
 // MatMulInto computes dst = a·b (a is n×k, b is k×m, dst n×m), overwriting
-// dst. Accumulation over k ascends for every element, so column j of dst is
-// bit-identical to MatVecInto(col, a, b[:,j]). dst must not alias a or b.
+// dst — the backward shape Δ_prev = Δ·W. Every element accumulates over
+// ascending k and zero elements of a contribute nothing, exactly as in
+// MatTVecInto, so row i of dst is bit-identical to MatTVecInto(row, b,
+// a.Row(i)); for finite b it is also column-wise bit-identical to MatVecInto.
+// dst must not alias a or b.
 func MatMulInto(dst, a, b *Matrix) error {
 	if a.Cols != b.Rows {
 		return fmt.Errorf("matmul: %w: a %dx%d vs b %dx%d", ErrShape, a.Rows, a.Cols, b.Rows, b.Cols)
@@ -30,32 +34,71 @@ func MatMulInto(dst, a, b *Matrix) error {
 	if dst.Rows != a.Rows || dst.Cols != b.Cols {
 		return fmt.Errorf("matmul: %w: dst %dx%d, want %dx%d", ErrShape, dst.Rows, dst.Cols, a.Rows, b.Cols)
 	}
-	for i := range dst.Data {
-		dst.Data[i] = 0
-	}
-	// j/k-tiled ikj order: for one column tile, each k tile of b (a
-	// matMulBlock×matMulBlock block) is reused across every row of a
-	// before the next is loaded. k tiles ascend, and the inner k loop
-	// ascends within a tile, so per-element accumulation order is plain
-	// ascending k.
-	for j0 := 0; j0 < b.Cols; j0 += matMulBlock {
-		j1 := min(j0+matMulBlock, b.Cols)
-		for k0 := 0; k0 < a.Cols; k0 += matMulBlock {
-			k1 := min(k0+matMulBlock, a.Cols)
-			for i := 0; i < a.Rows; i++ {
-				arow := a.Data[i*a.Cols : (i+1)*a.Cols]
-				drow := dst.Data[i*dst.Cols+j0 : i*dst.Cols+j1]
-				for k := k0; k < k1; k++ {
-					aik := arow[k]
-					brow := b.Data[k*b.Cols+j0 : k*b.Cols+j1]
-					for j, bv := range brow {
-						drow[j] += aik * bv
-					}
-				}
-			}
+	for i := 0; i < a.Rows; i++ {
+		drow := dst.Data[i*dst.Cols : (i+1)*dst.Cols]
+		for j := range drow {
+			drow[j] = 0
 		}
+		addScaledRows(drow, a.Data[i*a.Cols:], 1, b)
 	}
 	return nil
+}
+
+// MatTMulAddInto accumulates dst += aᵀ·b (a is n×r, b is n×c, dst r×c) — the
+// batched weight gradient dW += Δᵀ·A. Every element takes its n additions in
+// ascending row order and zero elements of a contribute nothing, so the
+// result is bit-identical to dst.AddOuter(1, a.Row(s), b.Row(s)) for s = 0,
+// 1, … n-1. dst must not alias a or b.
+func MatTMulAddInto(dst, a, b *Matrix) error {
+	if a.Rows != b.Rows {
+		return fmt.Errorf("mattmuladd: %w: aᵀ %dx%d vs b %dx%d", ErrShape, a.Cols, a.Rows, b.Rows, b.Cols)
+	}
+	if dst.Rows != a.Cols || dst.Cols != b.Cols {
+		return fmt.Errorf("mattmuladd: %w: dst %dx%d, want %dx%d", ErrShape, dst.Rows, dst.Cols, a.Cols, b.Cols)
+	}
+	for i := 0; i < dst.Rows; i++ {
+		addScaledRows(dst.Data[i*dst.Cols:(i+1)*dst.Cols], a.Data[i:], a.Cols, b)
+	}
+	return nil
+}
+
+// addScaledRows adds Σ_k x[k·stride]·src.Row(k) to dst, one row after another
+// in ascending k, skipping rows whose coefficient is zero. Four surviving
+// rows are folded per pass over dst — each element is loaded and stored once
+// per four additions — but every element still receives its additions one at
+// a time in ascending k, so the sum is the one a row-at-a-time loop produces.
+// len(dst) must equal src.Cols and x must reach (src.Rows-1)·stride.
+func addScaledRows(dst, x []float64, stride int, src *Matrix) {
+	var coef [4]float64
+	var rows [4][]float64
+	held := 0
+	for k := 0; k < src.Rows; k++ {
+		v := x[k*stride]
+		if v == 0 {
+			continue
+		}
+		coef[held], rows[held] = v, src.Data[k*src.Cols:]
+		held++
+		if held < 4 {
+			continue
+		}
+		held = 0
+		x0, x1, x2, x3 := coef[0], coef[1], coef[2], coef[3]
+		r0, r1, r2, r3 := rows[0][:len(dst)], rows[1][:len(dst)], rows[2][:len(dst)], rows[3][:len(dst)]
+		for j, d := range dst {
+			d += x0 * r0[j]
+			d += x1 * r1[j]
+			d += x2 * r2[j]
+			d += x3 * r3[j]
+			dst[j] = d
+		}
+	}
+	for p := 0; p < held; p++ {
+		xp, rp := coef[p], rows[p][:len(dst)]
+		for j := range dst {
+			dst[j] += xp * rp[j]
+		}
+	}
 }
 
 // MatMulTransInto computes dst = a·bᵀ (a is n×k, b is m×k, dst n×m),

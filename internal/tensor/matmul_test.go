@@ -3,6 +3,7 @@ package tensor
 import (
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 )
 
@@ -78,6 +79,85 @@ func TestMatMulIntoMatchesLoopedMatVecInto(t *testing.T) {
 	}
 }
 
+// sparsify zeroes roughly half of m's elements, plus one whole row and one
+// whole column, so the training kernels' zero-skips meet isolated zeros, runs
+// shorter than their four-row groups, and rows with nothing to add.
+func sparsify(rng *RNG, m *Matrix) {
+	for i := range m.Data {
+		if rng.Intn(2) == 0 {
+			m.Data[i] = 0
+		}
+	}
+	zeroRow, zeroCol := rng.Intn(m.Rows), rng.Intn(m.Cols)
+	for j := 0; j < m.Cols; j++ {
+		m.Set(zeroRow, j, 0)
+	}
+	for i := 0; i < m.Rows; i++ {
+		m.Set(i, zeroCol, 0)
+	}
+}
+
+func sameBits(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s: element %d = %v, want %v", what, i, got[i], want[i])
+		}
+	}
+}
+
+// trainShapes are (batch, layer out, layer in) triples: batch 1, ragged
+// batches around the four-row grouping, and one past matMulBlock.
+var trainShapes = [][3]int{{1, 5, 3}, {3, 4, 6}, {7, 10, 64}, {16, 64, 128}, {33, 37, 41}}
+
+func TestMatTMulAddIntoMatchesSuccessiveAddOuter(t *testing.T) {
+	rng := NewRNG(14)
+	for _, shape := range trainShapes {
+		n, out, in := shape[0], shape[1], shape[2]
+		for _, sparse := range []bool{false, true} {
+			delta, acts := randMat(rng, n, out), randMat(rng, n, in)
+			if sparse {
+				sparsify(rng, delta)
+			}
+			got := randMat(rng, out, in) // pre-filled: the kernel accumulates
+			want := got.Clone()
+			if err := MatTMulAddInto(got, delta, acts); err != nil {
+				t.Fatal(err)
+			}
+			for s := 0; s < n; s++ {
+				if err := want.AddOuter(1, delta.Row(s), acts.Row(s)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			sameBits(t, fmt.Sprintf("%v sparse=%v", shape, sparse), got.Data, want.Data)
+		}
+	}
+}
+
+func TestMatMulIntoMatchesMatTVecIntoPerRow(t *testing.T) {
+	rng := NewRNG(15)
+	for _, shape := range trainShapes {
+		n, out, in := shape[0], shape[1], shape[2]
+		for _, sparse := range []bool{false, true} {
+			delta, w := randMat(rng, n, out), randMat(rng, out, in)
+			if sparse {
+				sparsify(rng, delta)
+			}
+			got := randMat(rng, n, in) // pre-filled: the kernel overwrites
+			if err := MatMulInto(got, delta, w); err != nil {
+				t.Fatal(err)
+			}
+			want := NewVector(in)
+			for s := 0; s < n; s++ {
+				if err := MatTVecInto(want, w, delta.Row(s)); err != nil {
+					t.Fatal(err)
+				}
+				sameBits(t, fmt.Sprintf("%v sparse=%v row %d", shape, sparse, s), got.Row(s), want)
+			}
+		}
+	}
+}
+
 func TestMatMulIntoShapeErrors(t *testing.T) {
 	a := NewMatrix(3, 4)
 	b := NewMatrix(4, 5)
@@ -90,6 +170,15 @@ func TestMatMulIntoShapeErrors(t *testing.T) {
 	}
 	if err := MatMulInto(NewMatrix(2, 5), a, b); !errors.Is(err, ErrShape) {
 		t.Fatalf("bad dst: %v", err)
+	}
+	if err := MatTMulAddInto(NewMatrix(4, 5), a, NewMatrix(3, 5)); err != nil {
+		t.Fatalf("good transposed-accumulate shapes: %v", err)
+	}
+	if err := MatTMulAddInto(NewMatrix(4, 5), a, NewMatrix(2, 5)); !errors.Is(err, ErrShape) {
+		t.Fatalf("transposed-accumulate row mismatch: %v", err)
+	}
+	if err := MatTMulAddInto(NewMatrix(3, 5), a, NewMatrix(3, 5)); !errors.Is(err, ErrShape) {
+		t.Fatalf("transposed-accumulate bad dst: %v", err)
 	}
 	if err := MatMulTransInto(NewMatrix(3, 5), a, bt); err != nil {
 		t.Fatalf("good trans shapes: %v", err)
@@ -114,6 +203,14 @@ func TestMatMulKernelsAllocateNothing(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Fatalf("MatMulInto allocates %v per run, want 0", n)
+	}
+	acc := NewMatrix(37, 41)
+	if n := testing.AllocsPerRun(20, func() {
+		if err := MatTMulAddInto(acc, a, dst); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("MatTMulAddInto allocates %v per run, want 0", n)
 	}
 	if n := testing.AllocsPerRun(20, func() {
 		if err := MatMulTransInto(dst, a, bt); err != nil {

@@ -99,19 +99,44 @@ func (r *RNG) Norm() float64 {
 		r.haveGauss = false
 		return r.gauss
 	}
-	var u, v, s float64
+	u, v, s := r.polarPoint()
+	f := math.Sqrt(-2 * math.Log(s) / s)
+	r.gauss = v * f
+	r.haveGauss = true
+	return u * f
+}
+
+// polarPoint draws uniform points in the square until one falls strictly
+// inside the unit disc (and off the origin), returning it with its squared
+// radius: the rejection step of the polar Box-Muller method.
+func (r *RNG) polarPoint() (u, v, s float64) {
 	for {
 		u = 2*r.Float64() - 1
 		v = 2*r.Float64() - 1
 		s = u*u + v*v
 		if s > 0 && s < 1 {
-			break
+			return u, v, s
 		}
 	}
-	f := math.Sqrt(-2 * math.Log(s) / s)
-	r.gauss = v * f
-	r.haveGauss = true
-	return u * f
+}
+
+// SkipNorm advances the stream exactly as n calls of Norm would, without
+// computing the variates nobody reads: a pending cached variate is dropped and
+// each further pair costs only its rejection loop. The last pair (or the odd
+// variate that leaves its twin pending) is drawn for real, so State — and
+// whatever is drawn next, Norm or anything else — is what n calls would have
+// left.
+func (r *RNG) SkipNorm(n int) {
+	if n > 0 && r.haveGauss {
+		r.haveGauss = false
+		n--
+	}
+	for ; n > 2; n -= 2 {
+		r.polarPoint()
+	}
+	for ; n > 0; n-- {
+		r.Norm()
+	}
 }
 
 // NormVec fills a fresh vector of length n with N(mu, sigma²) draws.

@@ -231,3 +231,33 @@ func TestRestoreRNGZeroState(t *testing.T) {
 		t.Fatal("restored zero-state RNG is stuck")
 	}
 }
+
+// TestSkipNormMatchesDiscardedNorms: skipping n variates leaves the stream —
+// cached twin included — exactly where drawing and discarding them does,
+// from a fresh stream and from one with a variate pending.
+func TestSkipNormMatchesDiscardedNorms(t *testing.T) {
+	for _, pending := range []bool{false, true} {
+		for _, n := range []int{0, 1, 2, 7, 4096, 12928} {
+			drawn, skipped := NewRNG(77), NewRNG(77)
+			if pending {
+				drawn.Norm()
+				skipped.Norm()
+			}
+			for i := 0; i < n; i++ {
+				drawn.Norm()
+			}
+			skipped.SkipNorm(n)
+			if drawn.State() != skipped.State() {
+				t.Fatalf("pending=%v n=%d: state %+v after Norm×n, %+v after SkipNorm", pending, n, drawn.State(), skipped.State())
+			}
+			for i := 0; i < 5; i++ {
+				if a, b := drawn.Norm(), skipped.Norm(); math.Float64bits(a) != math.Float64bits(b) {
+					t.Fatalf("pending=%v n=%d: Norm %d after the skip = %v, want %v", pending, n, i, b, a)
+				}
+				if a, b := drawn.Uint64(), skipped.Uint64(); a != b {
+					t.Fatalf("pending=%v n=%d: Uint64 %d after the skip = %d, want %d", pending, n, i, b, a)
+				}
+			}
+		}
+	}
+}
