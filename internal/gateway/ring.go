@@ -3,7 +3,6 @@ package gateway
 import (
 	"fmt"
 	"hash/fnv"
-	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -66,21 +65,10 @@ func vnodeHash(member string, i int) uint64 {
 	return h.Sum64()
 }
 
-// KeyHash hashes a request vector to its ring key: the FNV-1a digest of the
-// raw float bits, so the same input always lands on the same replica (which
-// is what makes the replica-local route cache effective).
-func KeyHash(x tensor.Vector) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	for _, v := range x {
-		bits := math.Float64bits(v)
-		for i := range buf {
-			buf[i] = byte(bits >> (8 * i))
-		}
-		_, _ = h.Write(buf[:])
-	}
-	return h.Sum64()
-}
+// KeyHash hashes a request vector to its ring key: the hash of the raw float
+// bits that also keys the replica's route cache, so the same input always
+// lands on the same replica (which is what makes that cache effective).
+func KeyHash(x tensor.Vector) uint64 { return x.HashBits() }
 
 // Add inserts a member (idempotent).
 func (r *Ring) Add(member string) {

@@ -2,16 +2,26 @@ package gateway
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/tensor"
 )
 
+// TestRingDistribution separates the two things that decide a member's share
+// of traffic: the arcs its vnodes own (64 points per member leave real skew —
+// the bounds below are about that) and whether KeyHash spreads keys over the
+// circle uniformly, in which case each member's key share is its arc share.
 func TestRingDistribution(t *testing.T) {
 	r := NewRing(0)
 	members := []string{"a:1", "b:2", "c:3", "d:4"}
 	for _, m := range members {
 		r.Add(m)
+	}
+	arcs := map[string]float64{}
+	for i, p := range r.points {
+		prev := r.points[(i+len(r.points)-1)%len(r.points)].hash
+		arcs[p.member] += float64(p.hash-prev) / (1 << 64) // wraps to the right length at i == 0
 	}
 	counts := map[string]int{}
 	rng := tensor.NewRNG(7)
@@ -21,9 +31,12 @@ func TestRingDistribution(t *testing.T) {
 		counts[r.Owner(KeyHash(x))]++
 	}
 	for _, m := range members {
-		frac := float64(counts[m]) / keys
-		if frac < 0.10 || frac > 0.45 {
-			t.Errorf("member %s owns %.1f%% of keys; vnode sharding is badly skewed (%v)", m, frac*100, counts)
+		if arcs[m] < 0.10 || arcs[m] > 0.45 {
+			t.Errorf("member %s owns %.1f%% of the circle; vnode sharding is badly skewed (%v)", m, arcs[m]*100, arcs)
+		}
+		// 8000 draws put a share within 0.6 points of its arc (1 sigma).
+		if frac := float64(counts[m]) / keys; math.Abs(frac-arcs[m]) > 0.02 {
+			t.Errorf("member %s owns %.1f%% of the circle but %.1f%% of keys; KeyHash is not uniform (%v)", m, arcs[m]*100, frac*100, counts)
 		}
 	}
 }

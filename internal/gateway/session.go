@@ -1,10 +1,10 @@
 package gateway
 
 import (
-	"container/list"
 	"sync"
 
 	"repro/internal/httpapi"
+	"repro/internal/lru"
 )
 
 // sessionCache is the gateway-level answer cache: (model, input-hash) →
@@ -22,13 +22,11 @@ import (
 // Collisions: keys are 64-bit input hashes without the full input retained
 // (the gateway does not want to hold every tensor it proxied). A collision
 // returns the colliding entry's answer — acceptable for a cache keyed on
-// 64-bit FNV over float bits, where accidental collisions are ~2^-32 even
-// at million-entry scale, and the same tradeoff a CDN makes.
+// a 64-bit hash of the float bits, where accidental collisions are ~2^-32
+// even at million-entry scale, and the same tradeoff a CDN makes.
 type sessionCache struct {
-	mu  sync.Mutex
-	cap int
-	m   map[sessionKey]*list.Element
-	l   *list.List // front = most recently used
+	mu sync.Mutex
+	c  *lru.Cache[sessionKey, sessionEntry] // nil when caching is disabled
 }
 
 type sessionKey struct {
@@ -37,7 +35,6 @@ type sessionKey struct {
 }
 
 type sessionEntry struct {
-	k       sessionKey
 	resp    httpapi.PredictResponse
 	version int
 }
@@ -45,58 +42,49 @@ type sessionEntry struct {
 // newSessionCache builds a cache holding up to capacity answers;
 // capacity <= 0 disables caching.
 func newSessionCache(capacity int) *sessionCache {
-	return &sessionCache{cap: capacity, m: make(map[sessionKey]*list.Element), l: list.New()}
+	if capacity <= 0 {
+		return &sessionCache{}
+	}
+	return &sessionCache{c: lru.New[sessionKey, sessionEntry](capacity)}
 }
 
 // get returns the cached answer for (model, key) if it was produced under
 // the model's current snapshot version. Stale entries are evicted on
 // sight.
 func (c *sessionCache) get(model string, key uint64, currentVersion int) (httpapi.PredictResponse, bool) {
-	if c.cap <= 0 {
+	if c.c == nil {
 		return httpapi.PredictResponse{}, false
 	}
 	sk := sessionKey{model, key}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.m[sk]
+	e, ok := c.c.Get(sk)
 	if !ok {
 		return httpapi.PredictResponse{}, false
 	}
-	e := el.Value.(*sessionEntry)
 	if e.version < currentVersion {
-		c.l.Remove(el)
-		delete(c.m, sk)
+		c.c.Delete(sk)
 		return httpapi.PredictResponse{}, false
 	}
-	c.l.MoveToFront(el)
 	return e.resp, true
 }
 
 // put records a replica answer under the snapshot version it reported.
 func (c *sessionCache) put(model string, key uint64, version int, resp httpapi.PredictResponse) {
-	if c.cap <= 0 {
+	if c.c == nil {
 		return
 	}
-	sk := sessionKey{model, key}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.m[sk]; ok {
-		e := el.Value.(*sessionEntry)
-		e.resp, e.version = resp, version
-		c.l.MoveToFront(el)
-		return
-	}
-	for c.l.Len() >= c.cap {
-		oldest := c.l.Back()
-		c.l.Remove(oldest)
-		delete(c.m, oldest.Value.(*sessionEntry).k)
-	}
-	c.m[sk] = c.l.PushFront(&sessionEntry{k: sk, resp: resp, version: version})
+	*c.c.Put(sessionKey{model, key}) = sessionEntry{resp: resp, version: version}
 }
 
 // len returns the number of cached answers.
 func (c *sessionCache) len() int {
+	if c.c == nil {
+		return 0
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.l.Len()
+	return c.c.Len()
 }

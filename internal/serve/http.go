@@ -289,6 +289,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			httpapi.Sample{Labels: `result="hit"`, Value: float64(m.CacheHits)},
 			httpapi.Sample{Labels: `result="miss"`, Value: float64(m.CacheMisses)},
 			httpapi.Sample{Labels: `result="bypass"`, Value: float64(m.CacheBypass)}).
+		Gauge("shiftex_serve_route_cache_entries", "Decisions in the route cache, stale-version ones included (full with no hits after a swap = not yet re-routed).", float64(m.RouteCacheEntries)).
 		GaugeVec("shiftex_serve_route_epsilon", "Match radius, calibrated (training ε) vs effective (ε × route-eps-scale, what routing compares against).",
 			httpapi.Sample{Labels: `scope="calibrated"`, Value: snap.Epsilon},
 			httpapi.Sample{Labels: `scope="effective"`, Value: snap.RouteEpsilon()}).

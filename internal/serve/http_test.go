@@ -84,6 +84,7 @@ func TestHTTPPredictAndHealth(t *testing.T) {
 		"shiftex_serve_snapshot_version 1",
 		"shiftex_serve_experts",
 		`shiftex_serve_route_cache_total{result="bypass"}`,
+		"shiftex_serve_route_cache_entries 1",
 		"# TYPE shiftex_serve_batch_size histogram",
 		`shiftex_serve_batch_size_bucket{le="1"} 1`,
 		`shiftex_serve_batch_size_bucket{le="+Inf"} 1`,

@@ -1,11 +1,10 @@
 package serve
 
 import (
-	"container/list"
-	"math"
 	"slices"
 	"sync"
 
+	"repro/internal/lru"
 	"repro/internal/tensor"
 )
 
@@ -16,19 +15,17 @@ import (
 // and are ignored (then overwritten) after a hot swap, so a stale cache can
 // never route into a retired snapshot.
 //
-// Keys are FNV-1a hashes of the raw float bits; the full input is kept in
+// Keys are tensor.Vector.HashBits of the input; the full input is kept in
 // the entry and compared on lookup, so hash collisions degrade to misses,
-// never to wrong answers.
+// never to wrong answers. The hash is computed once per request, by get, and
+// handed back for the worker's put; a disabled cache never computes it.
 type routeCache struct {
-	mu  sync.Mutex
-	cap int
-	m   map[uint64]*list.Element
-	l   *list.List // front = most recently used
+	mu sync.Mutex
+	c  *lru.Cache[uint64, routeEntry] // nil when caching is disabled
 }
 
 type routeEntry struct {
-	key     uint64
-	x       tensor.Vector // cloned input (collision guard)
+	x       tensor.Vector // copy of the input (collision guard); the slot owns its backing array
 	expert  int           // index into Snapshot.Experts()
 	matched bool
 	version int // snapshot version the decision belongs to
@@ -37,84 +34,61 @@ type routeEntry struct {
 // newRouteCache builds a cache holding up to capacity decisions;
 // capacity <= 0 disables caching (every lookup misses).
 func newRouteCache(capacity int) *routeCache {
-	return &routeCache{cap: capacity, m: make(map[uint64]*list.Element), l: list.New()}
+	if capacity <= 0 {
+		return &routeCache{}
+	}
+	return &routeCache{c: lru.New[uint64, routeEntry](capacity)}
 }
 
-// hashInput is FNV-1a 64 over the float64 bit patterns of x.
-func hashInput(x tensor.Vector) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	for _, v := range x {
-		b := math.Float64bits(v)
-		for i := 0; i < 8; i++ {
-			h ^= b & 0xff
-			h *= prime
-			b >>= 8
-		}
+// get returns x's cache key and, on a hit, the decision cached for x under
+// the given snapshot version.
+func (c *routeCache) get(x tensor.Vector, version int) (key uint64, expert int, matched, ok bool) {
+	if c.c == nil {
+		return 0, 0, false, false
 	}
-	return h
-}
-
-// get returns the cached decision for x under the given snapshot version.
-func (c *routeCache) get(x tensor.Vector, version int) (expert int, matched, ok bool) {
-	if c.cap <= 0 {
-		return 0, false, false
-	}
-	key := hashInput(x)
+	key = x.HashBits()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, found := c.m[key]
-	if !found {
-		return 0, false, false
+	// The lookup refreshes the entry's recency even when the guards below
+	// turn it into a miss: the miss is about to put the same key.
+	e, found := c.c.Get(key)
+	if !found || e.version != version || !sameInput(e.x, x) {
+		return key, 0, false, false
 	}
-	e := el.Value.(*routeEntry)
-	if e.version != version || !sameInput(e.x, x) {
-		return 0, false, false
-	}
-	c.l.MoveToFront(el)
-	return e.expert, e.matched, true
+	return key, e.expert, e.matched, true
 }
 
-// put records a routing decision, evicting the least recently used entry
-// when full. A same-key entry is overwritten (this is how post-swap entries
-// replace stale ones).
-func (c *routeCache) put(x tensor.Vector, version, expert int, matched bool) {
-	if c.cap <= 0 {
+// put records a routing decision under the key get returned for x, evicting
+// the least recently used entry when full. A same-key entry is overwritten
+// (this is how post-swap entries replace stale ones). Either way the input is
+// copied into the slot's existing backing array, so a full cache — or one
+// being re-filled after a swap — allocates nothing.
+func (c *routeCache) put(key uint64, x tensor.Vector, version, expert int, matched bool) {
+	if c.c == nil {
 		return
 	}
-	key := hashInput(x)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, found := c.m[key]; found {
-		e := el.Value.(*routeEntry)
-		e.x = x.Clone()
-		e.expert, e.matched, e.version = expert, matched, version
-		c.l.MoveToFront(el)
-		return
-	}
-	for c.l.Len() >= c.cap {
-		oldest := c.l.Back()
-		c.l.Remove(oldest)
-		delete(c.m, oldest.Value.(*routeEntry).key)
-	}
-	c.m[key] = c.l.PushFront(&routeEntry{key: key, x: x.Clone(), expert: expert, matched: matched, version: version})
+	e := c.c.Put(key)
+	e.x = append(e.x[:0], x...)
+	e.expert, e.matched, e.version = expert, matched, version
 }
 
 // enabled reports whether the cache stores anything at all (capacity > 0).
 // A disabled cache turns every request into a bypass, which the metrics
 // count separately from genuine misses.
-func (c *routeCache) enabled() bool { return c.cap > 0 }
+func (c *routeCache) enabled() bool { return c.c != nil }
 
 // sameInput reports element-equal inputs (NaN-bearing inputs compare
 // unequal and degrade to cache misses, which is safe).
 func sameInput(a, b tensor.Vector) bool { return slices.Equal(a, b) }
 
-// len returns the number of cached decisions.
+// len returns the number of cached decisions, stale-version ones included.
 func (c *routeCache) len() int {
+	if c.c == nil {
+		return 0
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.l.Len()
+	return c.c.Len()
 }

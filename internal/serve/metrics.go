@@ -40,6 +40,10 @@ type Metrics struct {
 	// latency quantiles point at on /v1/metrics.
 	slow atomic.Pointer[slowTrace]
 
+	// routeCache is read for its occupancy only (set once by the server that
+	// owns the cache, before any request; nil on bare Metrics).
+	routeCache *routeCache
+
 	// experts is the per-expert routed-request counter set, keyed by
 	// training-time expert ID. The map itself is immutable once published
 	// (lock-free reads on the hot path); a hot swap installs a fresh map
@@ -224,12 +228,15 @@ type MetricsSnapshot struct {
 	CacheHits     uint64  `json:"cacheHits"`
 	CacheMisses   uint64  `json:"cacheMisses"`
 	CacheBypass   uint64  `json:"cacheBypass,omitempty"`
-	Swaps         uint64  `json:"swaps"`
-	Batches       uint64  `json:"batches"`
-	MeanBatch     float64 `json:"meanBatch"`
-	P50Seconds    float64 `json:"p50Seconds"`
-	P90Seconds    float64 `json:"p90Seconds"`
-	P99Seconds    float64 `json:"p99Seconds"`
+	// RouteCacheEntries counts cached decisions, stale-version ones included:
+	// a full cache with no hits after a swap is a cache of retired entries.
+	RouteCacheEntries int     `json:"routeCacheEntries,omitempty"`
+	Swaps             uint64  `json:"swaps"`
+	Batches           uint64  `json:"batches"`
+	MeanBatch         float64 `json:"meanBatch"`
+	P50Seconds        float64 `json:"p50Seconds"`
+	P90Seconds        float64 `json:"p90Seconds"`
+	P99Seconds        float64 `json:"p99Seconds"`
 }
 
 // Snapshot copies the current counters.
@@ -254,6 +261,9 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 	}
 	if s.Batches > 0 {
 		s.MeanBatch = float64(m.batched.Load()) / float64(s.Batches)
+	}
+	if m.routeCache != nil {
+		s.RouteCacheEntries = m.routeCache.len()
 	}
 	return s
 }

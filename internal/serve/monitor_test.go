@@ -60,7 +60,7 @@ func TestRouteBatchZeroAllocWithMonitor(t *testing.T) {
 	for i := range reqs {
 		reqs[i] = &pending{x: rng.NormVec(served.InputDim(), 0, 1), snap: served, expert: unrouted}
 	}
-	batch := batchMsg{snap: served, expert: unrouted, reqs: reqs}
+	batch := batchMsg{snap: served, expert: unrouted, bucket: &bucket{reqs: reqs}}
 	sc := srv.newScratch()
 	for i := 0; i < 3; i++ { // warm the scratch slices and block freelist
 		if err := srv.routeBatch(sc, batch); err != nil {

@@ -1,0 +1,8 @@
+//go:build race
+
+package serve
+
+// raceEnabled reports whether the race detector is active; allocation-count
+// assertions are skipped under -race because instrumentation allocates and
+// sync.Pool drops items at random.
+const raceEnabled = true

@@ -150,10 +150,18 @@ type outcome struct {
 // worker routes it (batched through the encoder) before predicting.
 const unrouted = -1
 
-// pending is one admitted request travelling through the pipeline.
+// pending is one request's slot in the pipeline. Slots are recycled through
+// slotPool, and exactly one party may release one: the Predict call that
+// received the outcome from done, or the one refused before admission. A
+// caller that gives up on its context abandons its slot — a worker still owns
+// it and will send into done — so that slot is never reused; it is garbage
+// once the worker has answered it.
 type pending struct {
 	x    tensor.Vector
 	snap *Snapshot
+	// key is x's route-cache key, computed once by the admitting caller's
+	// lookup and reused by the worker's put (zero when the cache is off).
+	key uint64
 	// expert is the index into snap.Experts(), or unrouted when the route
 	// cache missed and the worker owns the (batched) routing decision.
 	expert  int
@@ -162,6 +170,17 @@ type pending struct {
 	start   time.Time
 	enq     time.Time    // enqueue instant; zero unless the request is traced
 	done    chan outcome // buffered(1); the worker's send never blocks
+}
+
+// slotPool recycles request slots together with their done channels.
+var slotPool = sync.Pool{New: func() any { return &pending{done: make(chan outcome, 1)} }}
+
+// release returns a slot whose outcome has been received (or that was never
+// admitted) to the pool. The input and the snapshot are dropped first: an idle
+// slot pins neither a caller's buffer nor a retired snapshot.
+func (p *pending) release() {
+	p.x, p.snap = nil, nil
+	slotPool.Put(p)
 }
 
 // bucketKey identifies a per-expert queue (expert == unrouted keys the
@@ -174,17 +193,25 @@ type bucketKey struct {
 	expert int
 }
 
-// bucket accumulates one expert's queued requests until a flush.
+// bucket accumulates one expert's queued requests until a flush. Buckets
+// cycle dispatcher → worker → bucketPool → dispatcher, so a flush allocates
+// nothing at any batch size.
 type bucket struct {
 	reqs   []*pending
 	oldest time.Time
 }
 
-// batchMsg is one flushed batch handed to the worker pool.
+// bucketPool holds executed buckets, emptied and cleared of request pointers
+// by the worker that ran them. It has no New: the dispatcher sizes a fresh
+// bucket from its own MaxBatch when the pool is empty.
+var bucketPool sync.Pool
+
+// batchMsg is one flushed batch handed to the worker pool: the bucket goes
+// with it and comes back emptied.
 type batchMsg struct {
 	snap   *Snapshot
 	expert int
-	reqs   []*pending
+	*bucket
 }
 
 // Server is the shift-aware inference server: an atomically swappable
@@ -246,6 +273,17 @@ func (s *Server) Adaptation() AdaptReporter {
 // snapshot's Version is stamped from the server's swap counter. Call Close
 // to drain and stop.
 func NewServer(snap *Snapshot, cfg Config) (*Server, error) {
+	s, err := newServer(snap, cfg)
+	if err != nil {
+		return nil, err
+	}
+	s.startWorkers()
+	return s, nil
+}
+
+// newServer builds the server and starts its dispatcher; batches queue up
+// unexecuted until startWorkers (the ownership tests hold them there).
+func newServer(snap *Snapshot, cfg Config) (*Server, error) {
 	if snap == nil {
 		return nil, errors.New("serve: nil snapshot")
 	}
@@ -258,6 +296,7 @@ func NewServer(snap *Snapshot, cfg Config) (*Server, error) {
 		batches: make(chan batchMsg, 2*cfg.Workers),
 		drained: make(chan struct{}),
 	}
+	s.metrics.routeCache = s.cache
 	snap.Version = int(s.swaps.Add(1))
 	snap.routeEps = snap.Epsilon * cfg.RouteEpsilonScale
 	s.snap.Store(snap)
@@ -267,15 +306,18 @@ func NewServer(snap *Snapshot, cfg Config) (*Server, error) {
 	}
 
 	go s.dispatch()
-	s.workers.Add(cfg.Workers)
-	for i := 0; i < cfg.Workers; i++ {
+	return s, nil
+}
+
+func (s *Server) startWorkers() {
+	s.workers.Add(s.cfg.Workers)
+	for i := 0; i < s.cfg.Workers; i++ {
 		go s.worker()
 	}
 	go func() {
 		s.workers.Wait()
 		close(s.drained)
 	}()
-	return s, nil
 }
 
 // Snapshot returns the currently serving snapshot.
@@ -388,7 +430,7 @@ func (s *Server) PredictSpan(ctx context.Context, x tensor.Vector, parent *telem
 	// unrouted and a worker batches it through the encoder — one GEMM for
 	// the whole batch — so the cold path never pays a per-request forward
 	// pass on the caller's goroutine.
-	expert, matched, cached := s.cache.get(x, snap.Version)
+	key, expert, matched, cached := s.cache.get(x, snap.Version)
 	switch {
 	case cached:
 		s.metrics.cacheHits.Add(1)
@@ -399,7 +441,10 @@ func (s *Server) PredictSpan(ctx context.Context, x tensor.Vector, parent *telem
 		s.metrics.cacheBypass.Add(1)
 		expert = unrouted
 	}
-	p := &pending{x: x, snap: snap, expert: expert, matched: matched, cached: cached, start: start, done: make(chan outcome, 1)}
+	p := slotPool.Get().(*pending)
+	p.x, p.snap, p.key = x, snap, key
+	p.expert, p.matched, p.cached = expert, matched, cached
+	p.start, p.enq = start, time.Time{}
 	if tr != nil {
 		routeSpan.SetAttrBool("cache.hit", cached)
 		if cached {
@@ -415,6 +460,7 @@ func (s *Server) PredictSpan(ctx context.Context, x tensor.Vector, parent *telem
 	s.closeMu.RLock()
 	if s.closed {
 		s.closeMu.RUnlock()
+		p.release()
 		s.metrics.errored.Add(1)
 		batchSpan.EndErr(ErrClosed)
 		return Result{}, ErrClosed
@@ -425,6 +471,7 @@ func (s *Server) PredictSpan(ctx context.Context, x tensor.Vector, parent *telem
 		s.closeMu.RUnlock()
 	default:
 		s.closeMu.RUnlock()
+		p.release()
 		s.metrics.rejected.Add(1)
 		batchSpan.EndErr(ErrOverloaded)
 		return Result{}, ErrOverloaded
@@ -442,10 +489,12 @@ func (s *Server) PredictSpan(ctx context.Context, x tensor.Vector, parent *telem
 		case <-cancel:
 			// The worker will still complete the request into the
 			// buffered done channel; only this caller stops waiting.
+			// The slot stays the worker's: it is not released.
 			batchSpan.EndErr(ctx.Err())
 			return Result{}, ctx.Err()
 		}
 	}
+	p.release()
 	if tr != nil {
 		batchSpan.SetAttrInt("batch.size", int64(out.batchSize))
 		batchSpan.SetAttrInt("queue.us", out.queueWait.Microseconds())
@@ -505,7 +554,7 @@ func (s *Server) dispatch() {
 
 	flush := func(k bucketKey, b *bucket) {
 		buffered -= len(b.reqs)
-		s.batches <- batchMsg{snap: k.snap, expert: k.expert, reqs: b.reqs}
+		s.batches <- batchMsg{snap: k.snap, expert: k.expert, bucket: b}
 		delete(buckets, k)
 	}
 
@@ -513,11 +562,11 @@ func (s *Server) dispatch() {
 		k := bucketKey{snap: p.snap, expert: p.expert}
 		b := buckets[k]
 		if b == nil {
-			capHint := s.cfg.MaxBatch
-			if capHint > 64 {
-				capHint = 64 // grow on demand; huge MaxBatch must not preallocate
+			if b, _ = bucketPool.Get().(*bucket); b == nil {
+				// grow on demand; huge MaxBatch must not preallocate
+				b = &bucket{reqs: make([]*pending, 0, min(s.cfg.MaxBatch, 64))}
 			}
-			b = &bucket{reqs: make([]*pending, 0, capHint), oldest: p.start}
+			b.oldest = p.start
 			buckets[k] = b
 		}
 		b.reqs = append(b.reqs, p)
@@ -581,8 +630,8 @@ func (s *Server) dispatch() {
 
 // batchScratch is one worker's reusable state for batched execution: the
 // GEMM workspace plus the gather/group slices. All of it is warm after the
-// first few batches, so steady-state batch execution allocates nothing
-// beyond the per-request done channels.
+// first few batches, and with request slots and buckets recycled too,
+// steady-state batch execution allocates nothing.
 type batchScratch struct {
 	bw      *nn.BatchWorkspace
 	xs      []tensor.Vector // gathered batch inputs (headers only)
@@ -617,6 +666,11 @@ func (s *Server) worker() {
 		s.metrics.batches.Add(1)
 		s.metrics.batched.Add(uint64(len(batch.reqs)))
 		s.metrics.ObserveBatchSize(len(batch.reqs))
+		// Every slot now belongs to its caller again (or to nobody): drop
+		// the pointers before the bucket idles, and hand it back.
+		clear(batch.reqs)
+		batch.reqs = batch.reqs[:0]
+		bucketPool.Put(batch.bucket)
 	}
 }
 
@@ -655,7 +709,7 @@ func (s *Server) routeBatch(sc *batchScratch, batch batchMsg) error {
 	for i, p := range reqs {
 		idx, dist, matched := snap.matchSignature(emb.Row(i))
 		p.expert, p.matched = idx, matched
-		s.cache.put(p.x, snap.Version, idx, matched)
+		s.cache.put(p.key, p.x, snap.Version, idx, matched)
 		if mon == nil {
 			continue
 		}
@@ -732,7 +786,9 @@ func (s *Server) routeBatch(sc *batchScratch, batch batchMsg) error {
 // One clock read covers the whole batch: every request's latency ends at
 // the batch's completion instant, which is also the traced queue-wait
 // anchor (the old per-request time.Since was a measurable per-request cost
-// at batch sizes this pipeline now reaches).
+// at batch sizes this pipeline now reaches). The send into done hands the
+// slot back to its caller, who may release it for reuse at once: p is not
+// touched after it.
 func (s *Server) finish(batch batchMsg, classes []int, err error) {
 	end := time.Now()
 	for i, p := range batch.reqs {

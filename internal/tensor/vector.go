@@ -32,6 +32,22 @@ func (v Vector) Clone() Vector {
 	return out
 }
 
+// HashBits returns a 64-bit hash of v's IEEE-754 bit patterns: one
+// multiply-xorshift step per element and one more to finish, so the cost is a
+// multiply per float rather than per byte. It is order-sensitive, identical
+// across processes, and hashes nil and empty alike; values that compare equal
+// but differ in bits (+0 and -0) hash apart. Not cryptographic — it keys the
+// serving tier's route cache and places requests on the gateway's hash ring.
+func (v Vector) HashBits() uint64 {
+	h := uint64(0x9e3779b97f4a7c15)
+	for _, x := range v {
+		h = (h ^ math.Float64bits(x)) * 0xff51afd7ed558ccd
+		h ^= h >> 32
+	}
+	h *= 0xc4ceb9fe1a85ec53
+	return h ^ h>>29
+}
+
 // Dot returns the inner product of v and w.
 // It returns ErrShape if the lengths differ.
 func (v Vector) Dot(w Vector) (float64, error) {

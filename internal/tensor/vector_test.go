@@ -223,3 +223,75 @@ func TestVectorCloneIsDeep(t *testing.T) {
 		t.Fatal("clone aliases original storage")
 	}
 }
+
+func TestHashBitsDistinguishesOrder(t *testing.T) {
+	if (Vector{1, 2}).HashBits() == (Vector{2, 1}).HashBits() {
+		t.Fatal("hash must depend on element order")
+	}
+	if Vector(nil).HashBits() != (Vector{}).HashBits() {
+		t.Fatal("nil and empty must hash alike")
+	}
+	if (Vector{}).HashBits() == (Vector{0}).HashBits() {
+		t.Fatal("hash must depend on length")
+	}
+	v := NewRNG(1).NormVec(32, 0, 1)
+	if v.HashBits() != v.Clone().HashBits() {
+		t.Fatal("equal bits must hash equal")
+	}
+}
+
+// TestHashBitsSpreads is the quality floor for both users: near-identical
+// inputs (one element nudged by one ulp, or differing only in a sign bit) must
+// not collide, and the top byte — what places a key on the gateway's ring —
+// must use its whole range.
+func TestHashBitsSpreads(t *testing.T) {
+	base := NewRNG(2).NormVec(32, 0, 1)
+	seen := map[uint64]bool{base.HashBits(): true}
+	top := map[uint64]bool{}
+	for i := range base {
+		for _, nudge := range []float64{math.Nextafter(base[i], math.Inf(1)), math.Nextafter(base[i], math.Inf(-1)), -base[i], float64(i)} {
+			v := base.Clone()
+			v[i] = nudge
+			h := v.HashBits()
+			if seen[h] {
+				t.Fatalf("collision after changing element %d to %v", i, nudge)
+			}
+			seen[h] = true
+			top[h>>56] = true
+		}
+	}
+	if len(top) < 48 {
+		t.Fatalf("128 near-identical inputs reached only %d distinct top bytes", len(top))
+	}
+}
+
+// hashBytewise is the FNV-1a loop HashBits replaced (eight multiplies per
+// element), kept here as BenchmarkHashBits' comparison.
+func hashBytewise(x Vector) uint64 {
+	h := uint64(14695981039346656037)
+	for _, v := range x {
+		b := math.Float64bits(v)
+		for i := 0; i < 8; i++ {
+			h ^= b & 0xff
+			h *= 1099511628211
+			b >>= 8
+		}
+	}
+	return h
+}
+
+var hashSink uint64
+
+func BenchmarkHashBits(b *testing.B) {
+	x := NewRNG(3).NormVec(32, 0, 1)
+	b.Run("wordwise", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			hashSink = x.HashBits()
+		}
+	})
+	b.Run("bytewise", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			hashSink = hashBytewise(x)
+		}
+	})
+}

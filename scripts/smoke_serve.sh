@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Serving-tier smoke: start shiftex-serve from the committed tiny
-# checkpoint, assert /predict and /healthz answer 200, hot-swap the
+# checkpoint, assert /v1/predict and /v1/healthz answer 200, hot-swap the
 # snapshot over HTTP, verify graceful SIGTERM drain, then run
 # `shiftex-bench serve-load` for ~2 seconds and assert the
 # BENCH_serving.json artifact parses and clears the 10k predictions/sec
@@ -50,23 +50,25 @@ echo "== starting the serving daemon from $CKPT"
 SERVE_PID=$!
 
 for i in $(seq 1 50); do
-    curl -sf "http://$HTTP_ADDR/healthz" >/dev/null 2>&1 && break
+    curl -sf "http://$HTTP_ADDR/v1/healthz" >/dev/null 2>&1 && break
     kill -0 "$SERVE_PID" 2>/dev/null || fail "daemon exited during startup"
     sleep 0.1
 done
 
-echo "== /healthz"
-code=$(curl -s -o "$WORKDIR/health.json" -w '%{http_code}' "http://$HTTP_ADDR/healthz")
-[ "$code" = 200 ] || fail "/healthz returned $code"
-grep -q '"status": "ok"' "$WORKDIR/health.json" || fail "/healthz body unexpected: $(cat "$WORKDIR/health.json")"
+echo "== /v1/healthz"
+code=$(curl -s -o "$WORKDIR/health.json" -w '%{http_code}' "http://$HTTP_ADDR/v1/healthz")
+[ "$code" = 200 ] || fail "/v1/healthz returned $code"
+grep -q '"status": "ok"' "$WORKDIR/health.json" || fail "/v1/healthz body unexpected: $(cat "$WORKDIR/health.json")"
 
-echo "== /predict"
+echo "== /v1/predict"
 # The committed checkpoint serves 32-dimensional inputs (FMoW spec).
 X=$(seq 1 32 | awk '{printf "%s%.2f", (NR==1 ? "" : ","), $1/32}')
 code=$(curl -s -o "$WORKDIR/predict.json" -w '%{http_code}' \
-    -X POST -d "{\"x\":[$X]}" "http://$HTTP_ADDR/predict")
-[ "$code" = 200 ] || fail "/predict returned $code: $(cat "$WORKDIR/predict.json")"
-grep -q '"class"' "$WORKDIR/predict.json" || fail "/predict body unexpected: $(cat "$WORKDIR/predict.json")"
+    -X POST -d "{\"x\":[$X]}" "http://$HTTP_ADDR/v1/predict")
+[ "$code" = 200 ] || fail "/v1/predict returned $code: $(cat "$WORKDIR/predict.json")"
+grep -q '"class"' "$WORKDIR/predict.json" || fail "/v1/predict body unexpected: $(cat "$WORKDIR/predict.json")"
+curl -s "http://$HTTP_ADDR/v1/metrics" | grep -q '^shiftex_serve_route_cache_entries 1$' \
+    || fail "/v1/metrics does not show the one routed request in the route cache"
 
 echo "== /v1/debug/drift (monitor on by default in daemon mode)"
 code=$(curl -s -o "$WORKDIR/drift.json" -w '%{http_code}' "http://$HTTP_ADDR/v1/debug/drift")
@@ -76,8 +78,8 @@ grep -q '"schemaVersion"' "$WORKDIR/drift.json" || fail "/v1/debug/drift body un
 
 echo "== hot swap over HTTP"
 code=$(curl -s -o "$WORKDIR/swap.json" -w '%{http_code}' \
-    -X POST -d "{\"path\":\"$CKPT\"}" "http://$HTTP_ADDR/snapshot")
-[ "$code" = 200 ] || fail "POST /snapshot returned $code: $(cat "$WORKDIR/swap.json")"
+    -X POST -d "{\"path\":\"$CKPT\"}" "http://$HTTP_ADDR/v1/snapshot")
+[ "$code" = 200 ] || fail "POST /v1/snapshot returned $code: $(cat "$WORKDIR/swap.json")"
 grep -q '"version": 2' "$WORKDIR/swap.json" || fail "swap did not bump the snapshot version"
 
 echo "== graceful SIGTERM drain"
